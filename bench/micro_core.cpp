@@ -10,9 +10,11 @@
 
 #include "micro_common.h"
 
+#include "baselines/static_policies.h"
 #include "core/delta.h"
 #include "core/partition.h"
 #include "core/policy.h"
+#include "core/processing_restore.h"
 #include "core/storage_restore.h"
 #include "io/provenance.h"
 #include "model/cost.h"
@@ -227,6 +229,30 @@ void BM_StorageRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_StorageRestore)->Arg(70)->Arg(40)->Unit(benchmark::kMillisecond);
 
+// Eq. 8 restoration in the Figure 2 regime: each server's local processing
+// capacity is the given percentage of its all-local load (floored at the
+// HTML-only load), restored from the unconstrained partition.
+void BM_ProcessingRestore(benchmark::State& state) {
+  SystemModel sys = paper_system();
+  const Assignment all_local = make_local_assignment(sys);
+  std::vector<double> caps(sys.num_servers());
+  for (ServerId i = 0; i < sys.num_servers(); ++i) {
+    caps[i] = std::max(sys.page_request_rate(i),
+                       static_cast<double>(state.range(0)) / 100.0 *
+                           all_local.server_proc_load(i));
+  }
+  set_processing_capacities(sys, caps);
+  const Weights w;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Assignment asg(sys);
+    partition_all(sys, asg);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(restore_processing(sys, asg, w).unmarked_slots);
+  }
+}
+BENCHMARK(BM_ProcessingRestore)->Arg(50)->Unit(benchmark::kMillisecond);
+
 void BM_FullPolicyPipeline(benchmark::State& state) {
   WorkloadParams wl;
   wl.storage_fraction = 0.5;
@@ -278,6 +304,19 @@ void BM_SimulateFlight(benchmark::State& state) {
   state.SetLabel(flight ? "flight recorder on (1-in-100)" : "recorder off");
 }
 BENCHMARK(BM_SimulateFlight)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The ideal-LRU baseline at Table 1 scale (10,000 requests per server, warm
+// start, Eq. 8 throttle on) with half the storage.
+void BM_SimulateLru(benchmark::State& state) {
+  WorkloadParams wl;
+  wl.storage_fraction = 0.5;
+  const SystemModel sys = generate_workload(wl, 42);
+  const Simulator sim(sys, SimParams{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.simulate_lru(42).page_response.mean());
+  }
+}
+BENCHMARK(BM_SimulateLru)->Unit(benchmark::kMillisecond);
 
 void BM_AuditConstraints(benchmark::State& state) {
   const SystemModel& sys = paper_system();

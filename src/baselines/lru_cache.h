@@ -4,11 +4,14 @@
 // most `capacity_bytes` in total. Insertion of an oversized object is
 // rejected (it can never fit); otherwise least-recently-used entries are
 // evicted until the new entry fits.
+//
+// Object ids are dense, so the recency list is intrusive over flat arrays
+// indexed by id (prev/next links, size, presence) that grow on demand to the
+// largest id inserted: no per-entry allocation and no hashing.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "model/entities.h"
 
@@ -30,25 +33,32 @@ class LruCache {
 
   std::uint64_t used_bytes() const { return used_; }
   std::uint64_t capacity_bytes() const { return capacity_; }
-  std::size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
 
  private:
-  struct Entry {
-    ObjectId key;
-    std::uint64_t bytes;
+  struct Node {
+    std::uint64_t bytes = 0;
+    ObjectId prev = kInvalidId;  // toward the most recent end
+    ObjectId next = kInvalidId;  // toward the least recent end
+    bool present = false;
   };
 
+  void link_front(ObjectId key);
+  void unlink(ObjectId key);
+  void move_to_front(ObjectId key);
   void evict_for(std::uint64_t bytes);
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
-  std::list<Entry> order_;  // front = most recent
-  std::unordered_map<ObjectId, std::list<Entry>::iterator> map_;
+  std::size_t size_ = 0;
+  std::vector<Node> nodes_;  // indexed by ObjectId
+  ObjectId head_ = kInvalidId;  // most recent
+  ObjectId tail_ = kInvalidId;  // least recent
   std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 

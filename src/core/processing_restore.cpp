@@ -1,6 +1,6 @@
 #include "core/processing_restore.h"
 
-#include <queue>
+#include <algorithm>
 
 #include "core/delta.h"
 #include "io/provenance.h"
@@ -16,18 +16,25 @@ namespace mmr {
 
 namespace {
 
+/// A page's cheapest local slot: the heap holds one per page.
 struct SlotEntry {
   double criterion;
   PageId page;
-  std::uint32_t pos;  // page's position within its host's page list
   std::uint32_t index;
   bool compulsory;
-  std::uint64_t epoch;
-  bool operator>(const SlotEntry& o) const { return criterion > o.criterion; }
 };
 
-using MinHeap =
-    std::priority_queue<SlotEntry, std::vector<SlotEntry>, std::greater<>>;
+/// Heap comparator for the restoration's total order: criterion, then page
+/// id, then compulsory before optional, then slot index. Ties never fall to
+/// the heap's layout.
+struct Later {
+  bool operator()(const SlotEntry& a, const SlotEntry& b) const {
+    if (a.criterion != b.criterion) return a.criterion > b.criterion;
+    if (a.page != b.page) return a.page > b.page;
+    if (a.compulsory != b.compulsory) return b.compulsory;
+    return a.index > b.index;
+  }
+};
 
 double slot_criterion(const SystemModel& sys, const Assignment& asg,
                       const PageObjectRef& ref, const Weights& w,
@@ -39,6 +46,34 @@ double slot_criterion(const SystemModel& sys, const Assignment& asg,
   const double workload = slot_workload(sys, ref);
   MMR_DCHECK(workload > 0);
   return delta / workload;
+}
+
+/// Scores every local slot of page j and writes the first in the total
+/// order to *best. A slot's criterion reads only its own page's pipeline
+/// times, so the result stays valid until page j itself changes. Returns
+/// false when the page has no local slot left.
+bool best_local_slot(const SystemModel& sys, const Assignment& asg, PageId j,
+                     const Weights& w, const ProcessingRestoreOptions& options,
+                     SlotEntry* best) {
+  const Page& p = sys.page(j);
+  bool found = false;
+  // Compulsory slots come first and indices ascend, so a strict comparison
+  // keeps the earlier slot on equal criteria.
+  auto consider = [&](bool compulsory, std::uint32_t idx) {
+    const double c =
+        slot_criterion(sys, asg, {j, compulsory, idx}, w, options);
+    if (!found || c < best->criterion) {
+      *best = {c, j, idx, compulsory};
+      found = true;
+    }
+  };
+  for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+    if (asg.comp_local(j, idx)) consider(true, idx);
+  }
+  for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+    if (asg.opt_local(j, idx)) consider(false, idx);
+  }
+  return found;
 }
 
 /// `audit_run` / `audit_policy` are captured by restore_processing on the
@@ -55,34 +90,19 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
   // worker); appended to the global log once at the end.
   std::vector<UnmarkEvent> audit_batch;
 
-  // Epochs are indexed by the page's position within this server's page
-  // list, so the scratch is O(pages-on-server), not O(total pages) — this
-  // routine runs once per overloaded server, possibly from many workers.
+  // One heap entry per page with a local slot: O(pages-on-server) scratch,
+  // sized once. Unmarking a slot changes only its own page's criteria, so
+  // the popped page is rescored and pushed back; no entry ever goes stale.
   const std::vector<PageId>& own_pages = sys.pages_on_server(i);
   const memacct::Charge scratch_charge(
-      memacct::Category::kSolverScratch,
-      own_pages.size() * sizeof(std::uint64_t));
-  std::vector<std::uint64_t> page_epoch(own_pages.size(), 0);
-  MinHeap heap;
-  auto push_page_slots = [&](PageId j, std::uint32_t pos) {
-    const Page& p = sys.page(j);
-    const std::uint64_t e = page_epoch[pos];
-    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-      if (!asg.comp_local(j, idx)) continue;
-      const PageObjectRef ref{j, true, idx};
-      heap.push(
-          {slot_criterion(sys, asg, ref, w, options), j, pos, idx, true, e});
-    }
-    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-      if (!asg.opt_local(j, idx)) continue;
-      const PageObjectRef ref{j, false, idx};
-      heap.push(
-          {slot_criterion(sys, asg, ref, w, options), j, pos, idx, false, e});
-    }
-  };
-  for (std::uint32_t pos = 0; pos < own_pages.size(); ++pos) {
-    push_page_slots(own_pages[pos], pos);
+      memacct::Category::kSolverScratch, own_pages.size() * sizeof(SlotEntry));
+  std::vector<SlotEntry> heap;
+  heap.reserve(own_pages.size());
+  for (PageId j : own_pages) {
+    SlotEntry e;
+    if (best_local_slot(sys, asg, j, w, options, &e)) heap.push_back(e);
   }
+  std::make_heap(heap.begin(), heap.end(), Later{});
 
   while (!within_capacity(asg.server_proc_load(i), server.proc_capacity)) {
     if (heap.empty()) {
@@ -92,11 +112,10 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
                    << server.proc_capacity;
       break;
     }
-    const SlotEntry top = heap.top();
-    heap.pop();
-    if (top.epoch != page_epoch[top.pos]) continue;  // stale
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    const SlotEntry top = heap.back();
+    heap.pop_back();
     const PageObjectRef ref{top.page, top.compulsory, top.index};
-    if (!asg.ref_local(ref)) continue;
 
     const Page& p = sys.page(top.page);
     const ObjectId k = top.compulsory ? p.compulsory[top.index]
@@ -121,10 +140,11 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
       audit_batch.push_back(std::move(e));
     }
 
-    // The page's pipeline times changed, so its remaining slots' deltas are
-    // stale; re-push them under a new epoch.
-    ++page_epoch[top.pos];
-    push_page_slots(top.page, top.pos);
+    SlotEntry next;
+    if (best_local_slot(sys, asg, top.page, w, options, &next)) {
+      heap.push_back(next);
+      std::push_heap(heap.begin(), heap.end(), Later{});
+    }
   }
 
   if (audit && !audit_batch.empty()) {

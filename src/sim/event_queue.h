@@ -1,7 +1,8 @@
 // Minimal discrete-event kernel: a time-ordered queue with deterministic
-// FIFO tie-breaking. The simulator uses it to interleave page arrivals and
-// deferred optional-object requests so that shared per-server state (LRU
-// cache, admission bucket) is touched in true chronological order.
+// FIFO tie-breaking. The simulators queue deferred work in it (optional-
+// object fetches, DES completions) and merge their already-sorted page
+// arrivals against it by peek, so shared per-server state (LRU cache,
+// admission bucket, stations) is touched in true chronological order.
 #pragma once
 
 #include <algorithm>

@@ -403,17 +403,34 @@ SimMetrics Simulator::simulate(const Assignment& asg,
 
 namespace {
 
-/// Deferred optional-object fetch in the LRU simulation.
+/// Deferred optional-object fetch in the dynamic baselines.
 struct OptionalFetch {
   PageId page = kInvalidId;
   std::uint32_t opt_index = 0;
 };
 
-struct LruEvent {
-  enum class Kind { kPageArrival, kOptionalFetch } kind;
-  PageRequest request;      // kPageArrival
-  OptionalFetch optional;   // kOptionalFetch
-};
+/// Replays one server's time-sorted arrivals interleaved, in true time
+/// order, with the optional fetches they schedule. Arrivals merge by peek
+/// and are never queued: on equal times the arrival goes first, which is
+/// the FIFO order of a single queue holding every arrival ahead of any
+/// fetch. `on_arrival(request)` may push into `fetches`;
+/// `on_fetch(time, fetch)` handles a due fetch.
+template <typename OnArrival, typename OnFetch>
+void replay_stream(const std::vector<PageRequest>& arrivals,
+                   EventQueue<OptionalFetch>& fetches, OnArrival&& on_arrival,
+                   OnFetch&& on_fetch) {
+  fetches.clear();
+  std::size_t next = 0;
+  while (next < arrivals.size() || !fetches.empty()) {
+    if (next < arrivals.size() &&
+        (fetches.empty() || arrivals[next].time <= fetches.peek().time)) {
+      on_arrival(arrivals[next++]);
+    } else {
+      const auto item = fetches.pop();
+      on_fetch(item.time, item.event);
+    }
+  }
+}
 
 }  // namespace
 
@@ -427,6 +444,7 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
   ObsContext obs = ObsContext::acquire(FlightMode::kLru);
   TelemetryPhaseScope phase_scope("simulate_lru");
   MMR_TRACE_SPAN("simulate_lru");
+  EventQueue<OptionalFetch> fetches;
 
   for (ServerId i = 0; i < sys.num_servers(); ++i) {
     const Server& server = sys.server(i);
@@ -448,115 +466,107 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
       const std::vector<PageRequest> requests =
           gen_.generate(i, params_.requests_per_server, rng);
 
-      EventQueue<LruEvent> queue;
-      for (const PageRequest& r : requests) {
-        queue.push(r.time, {LruEvent::Kind::kPageArrival, r, {}});
-      }
-
       std::uint32_t arrival_index = 0;
-      while (!queue.empty()) {
-        auto item = queue.pop();
-        const double now = item.time;
-        if (item.event.kind == LruEvent::Kind::kPageArrival) {
-          const PageId j = item.event.request.page;
-          const Page& p = sys.page(j);
-          const NetworkSample net = perturb(server, params_.perturb, rng);
+      auto on_arrival = [&](const PageRequest& req) {
+        const double now = req.time;
+        const PageId j = req.page;
+        const Page& p = sys.page(j);
+        const NetworkSample net = perturb(server, params_.perturb, rng);
 
-          bucket.force_take(1.0, now);  // the HTML document, always local
-          std::uint64_t local_bytes = p.html_bytes;
-          std::uint64_t remote_bytes = 0;
-          std::uint32_t remote_count = 0;
-          std::uint32_t req_hits = 0;
-          std::uint32_t req_misses = 0;
-          std::uint32_t req_throttled = 0;
-          for (ObjectId k : p.compulsory) {
-            const std::uint64_t bytes = sys.object_bytes(k);
-            if (cache.access(k)) {
-              ++req_hits;
-              if (bucket.take(1.0, now)) {
-                local_bytes += bytes;
-              } else {
-                // Above C(S_i): served by R with zero redirection overhead.
-                if (measure) ++metrics.throttled_requests;
-                ++req_throttled;
-                remote_bytes += bytes;
-                ++remote_count;
-              }
+        bucket.force_take(1.0, now);  // the HTML document, always local
+        std::uint64_t local_bytes = p.html_bytes;
+        std::uint64_t remote_bytes = 0;
+        std::uint32_t remote_count = 0;
+        std::uint32_t req_hits = 0;
+        std::uint32_t req_misses = 0;
+        std::uint32_t req_throttled = 0;
+        for (ObjectId k : p.compulsory) {
+          const std::uint64_t bytes = sys.object_bytes(k);
+          if (cache.access(k)) {
+            ++req_hits;
+            if (bucket.take(1.0, now)) {
+              local_bytes += bytes;
             } else {
-              ++req_misses;
+              // Above C(S_i): served by R with zero redirection overhead.
+              if (measure) ++metrics.throttled_requests;
+              ++req_throttled;
               remote_bytes += bytes;
               ++remote_count;
-              cache.insert(k, bytes);
             }
-          }
-          const double t_local =
-              net.ovhd_local + transfer_seconds(local_bytes, net.local_rate);
-          const double t_remote =
-              remote_count == 0 ? 0.0
-                                : net.ovhd_repo + transfer_seconds(
-                                                      remote_bytes,
-                                                      net.repo_rate);
-          const double response = std::max(t_local, t_remote);
-          if (measure) {
-            mh.observe_response(response, t_local, t_remote);
-            metrics.page_response.add(response);
-            metrics.per_server_response[i].add(response);
-            metrics.total_per_request.add(response);
-            if (params_.capture_samples) metrics.page_samples.add(response);
-            if (obs.active()) {
-              obs.record(j, i, now, response,
-                         ideal_response(server, local_bytes, remote_bytes,
-                                        remote_count),
-                         t_remote);
-            }
-          }
-
-          // The user inspects the page, then follows optional links; those
-          // fetches hit the shared cache later in true time order.
-          std::uint32_t optional_requested = 0;
-          if (!p.optional.empty() && rng.bernoulli(params_.p_interested)) {
-            const std::uint32_t n_req = optional_request_count(
-                p, params_.optional_request_fraction);
-            optional_requested = n_req;
-            const auto picks = rng.sample_without_replacement(
-                static_cast<std::uint32_t>(p.optional.size()), n_req);
-            for (std::uint32_t idx : picks) {
-              queue.push(now + response,
-                         {LruEvent::Kind::kOptionalFetch, {}, {j, idx}});
-            }
-          }
-
-          if (measure) {
-            if (flight.sampled(arrival_index)) {
-              FlightRecord r = flight.make(i, j, arrival_index, t_local,
-                                           t_remote, response);
-              r.optional_requested = optional_requested;
-              r.cache_hits = req_hits;
-              r.cache_misses = req_misses;
-              r.throttled = req_throttled;
-              flight.batch.push_back(std::move(r));
-            }
-            ++arrival_index;
-          }
-        } else {
-          const PageId j = item.event.optional.page;
-          const std::uint32_t idx = item.event.optional.opt_index;
-          const ObjectId k = sys.page(j).optional[idx].object;
-          const std::uint64_t bytes = sys.object_bytes(k);
-          const NetworkSample net = perturb(server, params_.perturb, rng);
-          double t;
-          if (cache.access(k) && bucket.take(1.0, now)) {
-            t = net.ovhd_local + transfer_seconds(bytes, net.local_rate);
           } else {
-            t = net.ovhd_repo + transfer_seconds(bytes, net.repo_rate);
+            ++req_misses;
+            remote_bytes += bytes;
+            ++remote_count;
             cache.insert(k, bytes);
           }
-          if (measure) {
-            metrics.optional_time.add(t);
-            if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+        }
+        const double t_local =
+            net.ovhd_local + transfer_seconds(local_bytes, net.local_rate);
+        const double t_remote =
+            remote_count == 0
+                ? 0.0
+                : net.ovhd_repo +
+                      transfer_seconds(remote_bytes, net.repo_rate);
+        const double response = std::max(t_local, t_remote);
+        if (measure) {
+          mh.observe_response(response, t_local, t_remote);
+          metrics.page_response.add(response);
+          metrics.per_server_response[i].add(response);
+          metrics.total_per_request.add(response);
+          if (params_.capture_samples) metrics.page_samples.add(response);
+          if (obs.active()) {
+            obs.record(j, i, now, response,
+                       ideal_response(server, local_bytes, remote_bytes,
+                                      remote_count),
+                       t_remote);
           }
         }
-      }
+
+        // The user inspects the page, then follows optional links; those
+        // fetches hit the shared cache later in true time order.
+        std::uint32_t optional_requested = 0;
+        if (!p.optional.empty() && rng.bernoulli(params_.p_interested)) {
+          const std::uint32_t n_req = optional_request_count(
+              p, params_.optional_request_fraction);
+          optional_requested = n_req;
+          const auto picks = rng.sample_without_replacement(
+              static_cast<std::uint32_t>(p.optional.size()), n_req);
+          for (std::uint32_t idx : picks) {
+            fetches.push(now + response, {j, idx});
+          }
+        }
+
+        if (measure) {
+          if (flight.sampled(arrival_index)) {
+            FlightRecord r = flight.make(i, j, arrival_index, t_local,
+                                         t_remote, response);
+            r.optional_requested = optional_requested;
+            r.cache_hits = req_hits;
+            r.cache_misses = req_misses;
+            r.throttled = req_throttled;
+            flight.batch.push_back(std::move(r));
+          }
+          ++arrival_index;
+        }
+      };
+      auto on_fetch = [&](double now, const OptionalFetch& fetch) {
+        const ObjectId k =
+            sys.page(fetch.page).optional[fetch.opt_index].object;
+        const std::uint64_t bytes = sys.object_bytes(k);
+        const NetworkSample net = perturb(server, params_.perturb, rng);
+        double t;
+        if (cache.access(k) && bucket.take(1.0, now)) {
+          t = net.ovhd_local + transfer_seconds(bytes, net.local_rate);
+        } else {
+          t = net.ovhd_repo + transfer_seconds(bytes, net.repo_rate);
+          cache.insert(k, bytes);
+        }
+        if (measure) {
+          metrics.optional_time.add(t);
+          if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+        }
+      };
+      replay_stream(requests, fetches, on_arrival, on_fetch);
     }
     flight.flush();
     metrics.lru_hits += cache.hits();
@@ -584,6 +594,7 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
   ObsContext obs = ObsContext::acquire(FlightMode::kThreshold);
   TelemetryPhaseScope phase_scope("simulate_threshold");
   MMR_TRACE_SPAN("simulate_threshold");
+  EventQueue<OptionalFetch> fetches;
 
   for (ServerId i = 0; i < sys.num_servers(); ++i) {
     const Server& server = sys.server(i);
@@ -597,92 +608,82 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
     const std::vector<PageRequest> requests =
         gen_.generate(i, params_.requests_per_server, rng);
 
-    EventQueue<LruEvent> queue;
-    for (const PageRequest& r : requests) {
-      queue.push(r.time, {LruEvent::Kind::kPageArrival, r, {}});
-    }
-
     std::uint32_t arrival_index = 0;
-    while (!queue.empty()) {
-      auto item = queue.pop();
-      const double now = item.time;
-      if (item.event.kind == LruEvent::Kind::kPageArrival) {
-        const PageId j = item.event.request.page;
-        const Page& p = sys.page(j);
-        const NetworkSample net = perturb(server, params_.perturb, rng);
+    auto on_arrival = [&](const PageRequest& req) {
+      const double now = req.time;
+      const PageId j = req.page;
+      const Page& p = sys.page(j);
+      const NetworkSample net = perturb(server, params_.perturb, rng);
 
-        std::uint64_t local_bytes = p.html_bytes;
-        std::uint64_t remote_bytes = 0;
-        std::uint32_t remote_count = 0;
-        std::uint32_t req_hits = 0;
-        std::uint32_t req_misses = 0;
-        for (ObjectId k : p.compulsory) {
-          const std::uint64_t bytes = sys.object_bytes(k);
-          if (replicator.access(k, bytes, now)) {
-            ++req_hits;
-            local_bytes += bytes;
-          } else {
-            ++req_misses;
-            remote_bytes += bytes;
-            ++remote_count;
-          }
-        }
-        const double t_local =
-            net.ovhd_local + transfer_seconds(local_bytes, net.local_rate);
-        const double t_remote =
-            remote_count == 0
-                ? 0.0
-                : net.ovhd_repo +
-                      transfer_seconds(remote_bytes, net.repo_rate);
-        const double response = std::max(t_local, t_remote);
-        mh.observe_response(response, t_local, t_remote);
-        metrics.page_response.add(response);
-        metrics.per_server_response[i].add(response);
-        metrics.total_per_request.add(response);
-        if (params_.capture_samples) metrics.page_samples.add(response);
-        if (obs.active()) {
-          obs.record(j, i, now, response,
-                     ideal_response(server, local_bytes, remote_bytes,
-                                    remote_count),
-                     t_remote);
-        }
-
-        std::uint32_t optional_requested = 0;
-        if (!p.optional.empty() && rng.bernoulli(params_.p_interested)) {
-          const std::uint32_t n_req = optional_request_count(
-              p, params_.optional_request_fraction);
-          optional_requested = n_req;
-          const auto picks = rng.sample_without_replacement(
-              static_cast<std::uint32_t>(p.optional.size()), n_req);
-          for (std::uint32_t idx : picks) {
-            queue.push(now + response,
-                       {LruEvent::Kind::kOptionalFetch, {}, {j, idx}});
-          }
-        }
-
-        if (flight.sampled(arrival_index)) {
-          FlightRecord r =
-              flight.make(i, j, arrival_index, t_local, t_remote, response);
-          r.optional_requested = optional_requested;
-          r.cache_hits = req_hits;
-          r.cache_misses = req_misses;
-          flight.batch.push_back(std::move(r));
-        }
-        ++arrival_index;
-      } else {
-        const PageId j = item.event.optional.page;
-        const std::uint32_t idx = item.event.optional.opt_index;
-        const ObjectId k = sys.page(j).optional[idx].object;
+      std::uint64_t local_bytes = p.html_bytes;
+      std::uint64_t remote_bytes = 0;
+      std::uint32_t remote_count = 0;
+      std::uint32_t req_hits = 0;
+      std::uint32_t req_misses = 0;
+      for (ObjectId k : p.compulsory) {
         const std::uint64_t bytes = sys.object_bytes(k);
-        const NetworkSample net = perturb(server, params_.perturb, rng);
-        const double t =
-            replicator.access(k, bytes, now)
-                ? net.ovhd_local + transfer_seconds(bytes, net.local_rate)
-                : net.ovhd_repo + transfer_seconds(bytes, net.repo_rate);
-        metrics.optional_time.add(t);
-        if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+        if (replicator.access(k, bytes, now)) {
+          ++req_hits;
+          local_bytes += bytes;
+        } else {
+          ++req_misses;
+          remote_bytes += bytes;
+          ++remote_count;
+        }
       }
-    }
+      const double t_local =
+          net.ovhd_local + transfer_seconds(local_bytes, net.local_rate);
+      const double t_remote =
+          remote_count == 0
+              ? 0.0
+              : net.ovhd_repo + transfer_seconds(remote_bytes, net.repo_rate);
+      const double response = std::max(t_local, t_remote);
+      mh.observe_response(response, t_local, t_remote);
+      metrics.page_response.add(response);
+      metrics.per_server_response[i].add(response);
+      metrics.total_per_request.add(response);
+      if (params_.capture_samples) metrics.page_samples.add(response);
+      if (obs.active()) {
+        obs.record(j, i, now, response,
+                   ideal_response(server, local_bytes, remote_bytes,
+                                  remote_count),
+                   t_remote);
+      }
+
+      std::uint32_t optional_requested = 0;
+      if (!p.optional.empty() && rng.bernoulli(params_.p_interested)) {
+        const std::uint32_t n_req = optional_request_count(
+            p, params_.optional_request_fraction);
+        optional_requested = n_req;
+        const auto picks = rng.sample_without_replacement(
+            static_cast<std::uint32_t>(p.optional.size()), n_req);
+        for (std::uint32_t idx : picks) {
+          fetches.push(now + response, {j, idx});
+        }
+      }
+
+      if (flight.sampled(arrival_index)) {
+        FlightRecord r =
+            flight.make(i, j, arrival_index, t_local, t_remote, response);
+        r.optional_requested = optional_requested;
+        r.cache_hits = req_hits;
+        r.cache_misses = req_misses;
+        flight.batch.push_back(std::move(r));
+      }
+      ++arrival_index;
+    };
+    auto on_fetch = [&](double now, const OptionalFetch& fetch) {
+      const ObjectId k = sys.page(fetch.page).optional[fetch.opt_index].object;
+      const std::uint64_t bytes = sys.object_bytes(k);
+      const NetworkSample net = perturb(server, params_.perturb, rng);
+      const double t =
+          replicator.access(k, bytes, now)
+              ? net.ovhd_local + transfer_seconds(bytes, net.local_rate)
+              : net.ovhd_repo + transfer_seconds(bytes, net.repo_rate);
+      metrics.optional_time.add(t);
+      if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+    };
+    replay_stream(requests, fetches, on_arrival, on_fetch);
     flight.flush();
     metrics.replica_creations += replicator.creations();
     metrics.replica_drops += replicator.drops();

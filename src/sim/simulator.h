@@ -12,7 +12,8 @@
 //       size-aware LRU cache per site, misses served by the repository with
 //       zero redirection overhead, optionally subject to the Eq. 8 admission
 //       throttle (requests beyond C(S_i) are served by R). Deferred optional
-//       requests are interleaved in true time order via the event queue.
+//       requests wait in an event queue; the time-sorted arrivals merge
+//       against it by peek, so both are handled in true time order.
 //
 // With a fixed seed the perturbation stream is identical across static
 // policies (the draw count per request does not depend on the placement), so

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/delta.h"
 #include "core/partition.h"
+#include "io/provenance.h"
 #include "model/cost.h"
 #include "test_helpers.h"
 #include "workload/generator.h"
@@ -132,6 +134,160 @@ INSTANTIATE_TEST_SUITE_P(
     Sweeps, ProcessingRestoreProperty,
     ::testing::Combine(::testing::Values(71, 72),
                        ::testing::Values(0.0, 0.3, 0.6, 0.9)));
+
+// Two identical pages on one server, each with one compulsory and one
+// optional object of equal sizes, so both optional slots carry the same
+// criterion bit for bit. Full-local load is 2 * 2 * (1 + 1 + 0.25) = 9;
+// capacity 8.6 sheds exactly one optional slot, and the tie order (lower
+// page id first) decides which.
+TEST(ProcessingRestore, TieGoesToLowerPageId) {
+  SystemModel sys;
+  Server s;
+  s.proc_capacity = 8.6;
+  s.storage_capacity = 10 * testing::kKB;
+  s.ovhd_local = 1.0;
+  s.ovhd_repo = 2.0;
+  s.local_rate = 100.0;
+  s.repo_rate = 10.0;
+  sys.add_server(s);
+  sys.set_repository({kUnlimited});
+  for (int n = 0; n < 2; ++n) {
+    const ObjectId comp = sys.add_object({300});
+    const ObjectId opt = sys.add_object({400});
+    Page p;
+    p.host = 0;
+    p.html_bytes = 200;
+    p.frequency = 2.0;
+    p.compulsory = {comp};
+    p.optional = {{opt, 0.25}};
+    sys.add_page(std::move(p));
+  }
+  sys.finalize();
+
+  Assignment asg(sys);
+  partition_all(sys, asg);
+  ASSERT_DOUBLE_EQ(asg.server_proc_load(0), 9.0);
+  const auto report = restore_processing(sys, asg, kW);
+  EXPECT_TRUE(report.feasible());
+  EXPECT_EQ(report.unmarked_slots, 1u);
+  EXPECT_FALSE(asg.opt_local(0, 0));
+  EXPECT_TRUE(asg.opt_local(1, 0));
+  EXPECT_TRUE(asg.comp_local(0, 0));
+  EXPECT_TRUE(asg.comp_local(1, 0));
+}
+
+// Brute-force Eq. 8 restoration: at every step rescore every local slot of
+// the server and unmark the first under the documented total order
+// (criterion, page id, compulsory before optional, slot index).
+struct RefUnmark {
+  PageId page;
+  ObjectId object;
+  bool compulsory;
+  double criterion;
+};
+
+std::vector<RefUnmark> reference_restore(const SystemModel& sys,
+                                         Assignment& asg, bool amortize) {
+  std::vector<RefUnmark> steps;
+  for (ServerId i = 0; i < sys.num_servers(); ++i) {
+    while (!within_capacity(asg.server_proc_load(i),
+                            sys.server(i).proc_capacity)) {
+      bool found = false;
+      PageObjectRef best{};
+      double best_c = 0;
+      auto less = [&](double c, const PageObjectRef& r) {
+        if (c != best_c) return c < best_c;
+        if (r.page != best.page) return r.page < best.page;
+        if (r.compulsory != best.compulsory) return r.compulsory;
+        return r.index < best.index;
+      };
+      for (PageId j : sys.pages_on_server(i)) {
+        const Page& p = sys.page(j);
+        for (int kind = 0; kind < 2; ++kind) {
+          const bool comp = kind == 0;
+          const std::size_t n = comp ? p.compulsory.size() : p.optional.size();
+          for (std::uint32_t idx = 0; idx < n; ++idx) {
+            const PageObjectRef r{j, comp, idx};
+            if (!asg.ref_local(r)) continue;
+            double c = comp ? unmark_comp_delta(asg, j, idx, kW)
+                            : unmark_opt_delta(asg, j, idx, kW);
+            if (amortize) c /= slot_workload(sys, r);
+            if (!found || less(c, r)) {
+              best = r;
+              best_c = c;
+              found = true;
+            }
+          }
+        }
+      }
+      if (!found) break;
+      const Page& p = sys.page(best.page);
+      const ObjectId k = best.compulsory ? p.compulsory[best.index]
+                                         : p.optional[best.index].object;
+      asg.set_ref_local(best, false);
+      steps.push_back({best.page, k, best.compulsory, best_c});
+    }
+  }
+  return steps;
+}
+
+class ProcessingRestoreReference
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double, bool>> {
+};
+
+TEST_P(ProcessingRestoreReference, MatchesBruteForceBitForBit) {
+  const auto [seed, fraction, amortize] = GetParam();
+  SystemModel sys = generate_workload(testing::small_params(), seed);
+  Assignment asg(sys);
+  partition_all(sys, asg);
+  std::vector<double> caps(sys.num_servers());
+  for (ServerId i = 0; i < sys.num_servers(); ++i) {
+    const double mandatory = sys.page_request_rate(i);
+    caps[i] = mandatory + fraction * (asg.server_proc_load(i) - mandatory);
+  }
+  set_processing_capacities(sys, caps);
+
+  Assignment expected = asg;
+  const std::vector<RefUnmark> steps =
+      reference_restore(sys, expected, amortize);
+
+  ProcessingRestoreOptions options;
+  options.amortize_by_workload = amortize;
+  global_audit_log().clear();
+  set_audit_enabled(true);
+  const auto report = restore_processing(sys, asg, kW, options);
+  set_audit_enabled(false);
+  const AuditSnapshot audit = global_audit_log().snapshot();
+  global_audit_log().clear();
+
+  ASSERT_FALSE(steps.empty());
+  EXPECT_EQ(report.unmarked_slots, steps.size());
+  ASSERT_EQ(audit.unmarks.size(), steps.size());
+  for (std::size_t n = 0; n < steps.size(); ++n) {
+    SCOPED_TRACE(::testing::Message() << "step " << n);
+    EXPECT_EQ(audit.unmarks[n].page, steps[n].page);
+    EXPECT_EQ(audit.unmarks[n].object, steps[n].object);
+    EXPECT_EQ(audit.unmarks[n].compulsory, steps[n].compulsory);
+    EXPECT_EQ(audit.unmarks[n].criterion, steps[n].criterion);
+  }
+  for (PageId j = 0; j < sys.num_pages(); ++j) {
+    const Page& p = sys.page(j);
+    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+      EXPECT_EQ(asg.comp_local(j, idx), expected.comp_local(j, idx));
+    }
+    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+      EXPECT_EQ(asg.opt_local(j, idx), expected.opt_local(j, idx));
+    }
+  }
+  EXPECT_EQ(objective_total_cached(asg, kW),
+            objective_total_cached(expected, kW));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeded, ProcessingRestoreReference,
+    ::testing::Combine(::testing::Values(81, 82, 83),
+                       ::testing::Values(0.2, 0.5, 0.8),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace mmr

@@ -161,6 +161,69 @@ TEST(SimulatorLru, DeterministicInSeed) {
                    sim.simulate_lru(23).page_response.mean());
 }
 
+// Golden outputs of the two dynamic baselines, pinned exactly. A change to
+// the cache engine or to the arrival/fetch interleaving must leave every
+// count and both means bit-identical (hex literals are exact doubles).
+struct DynamicGolden {
+  std::uint64_t hits, misses, evictions, throttled, creations, drops;
+  std::uint64_t pages, optionals;
+  double page_mean, optional_mean;
+};
+
+void expect_golden(const SimMetrics& m, const DynamicGolden& g) {
+  EXPECT_EQ(m.lru_hits, g.hits);
+  EXPECT_EQ(m.lru_misses, g.misses);
+  EXPECT_EQ(m.lru_evictions, g.evictions);
+  EXPECT_EQ(m.throttled_requests, g.throttled);
+  EXPECT_EQ(m.replica_creations, g.creations);
+  EXPECT_EQ(m.replica_drops, g.drops);
+  EXPECT_EQ(m.page_response.count(), g.pages);
+  EXPECT_EQ(m.optional_time.count(), g.optionals);
+  EXPECT_EQ(m.page_response.mean(), g.page_mean);
+  EXPECT_EQ(m.optional_time.mean(), g.optional_mean);
+}
+
+TEST(SimulatorGolden, LruWarmStart) {
+  SystemModel sys = generate_workload(testing::small_params(), 401);
+  set_storage_fraction(sys, 0.3);
+  SimParams sp;
+  sp.requests_per_server = 2000;
+  expect_golden(Simulator(sys, sp).simulate_lru(41),
+                {58990, 36093, 35972, 0, 0, 0, 6000, 433,
+                 0x1.00ec87e6190d2p+12, 0x1.4bef29c6c1591p+8});
+}
+
+TEST(SimulatorGolden, LruThrottledColdStart) {
+  WorkloadParams wp = testing::small_params();
+  wp.server_proc_capacity = 8.0;
+  SystemModel sys = generate_workload(wp, 402);
+  set_storage_fraction(sys, 0.5);
+  SimParams sp;
+  sp.requests_per_server = 2000;
+  sp.lru_warm_start = false;
+  expect_golden(Simulator(sys, sp).simulate_lru(42),
+                {41781, 8250, 8051, 37053, 0, 0, 6000, 266,
+                 0x1.4e39440d7c474p+12, 0x1.f68a54f7e101p+7});
+}
+
+TEST(SimulatorGolden, Threshold) {
+  SystemModel sys = generate_workload(testing::small_params(), 403);
+  set_storage_fraction(sys, 0.1);
+  SimParams sp;
+  sp.requests_per_server = 2000;
+  const Simulator sim(sys, sp);
+  expect_golden(sim.simulate_threshold(43, ThresholdParams{}),
+                {0, 0, 0, 0, 46, 0, 6000, 145, 0x1.0ca3388a9573bp+12,
+                 0x1.2d882daf66a64p+9});
+  ThresholdParams churn;
+  churn.replicate_at = 1.5;
+  churn.drop_below = 1.0;
+  churn.decay_per_second = 0.05;
+  expect_golden(sim.simulate_threshold(44, churn),
+                {0, 0, 0, 0, 46, 2, 6000, 116, 0x1.14c9a2df948bep+12,
+                 0x1.0adf0188a5a4cp+9});
+}
+
 TEST(SimMetrics, MergeAggregates) {
   SimMetrics a, b;
   a.page_response.add(1.0);
