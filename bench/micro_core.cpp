@@ -153,7 +153,10 @@ void BM_DeallocDelta(benchmark::State& state) {
   Assignment asg(sys);
   partition_all(sys, asg);
   const Weights w;
-  const std::vector<ObjectId> stored = asg.stored_objects(0);
+  std::vector<std::uint32_t> stored;
+  for (std::uint32_t rank = 0; rank < sys.num_referenced(0); ++rank) {
+    if (asg.stored_at(0, rank)) stored.push_back(rank);
+  }
   std::size_t x = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(dealloc_delta(sys, asg, 0, stored[x], w));

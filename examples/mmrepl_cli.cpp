@@ -46,6 +46,7 @@
 //       conservation-law audit verdicts, mmr-invariants JSONL
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <iostream>
 #include <memory>
 
@@ -375,7 +376,9 @@ int main(int argc, char** argv) {
   } catch (const memacct::MemBudgetError& e) {
     std::cerr << "error: " << e.what() << '\n';
     return memacct::kMemBudgetExitCode;
-  } catch (const CheckError& e) {
+  } catch (const std::exception& e) {
+    // CheckError (bad input, failed checks) and anything else, such as an
+    // allocation failure: a message and a clean non-zero exit, never abort.
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }

@@ -21,28 +21,22 @@ double unmark_comp_delta(const Assignment& asg, PageId j, std::uint32_t idx,
                          const Weights& w) {
   MMR_DCHECK(asg.comp_local(j, idx));
   const SystemModel& sys = asg.system();
-  const Page& p = sys.page(j);
-  const Server& s = sys.server(p.host);
-  const std::uint64_t bytes = sys.object_bytes(p.compulsory[idx]);
   const double lt = asg.page_local_time(j);
   const double rt = asg.page_remote_time(j);
-  return response_delta(p.frequency, w.alpha1, lt, rt,
-                        lt - transfer_seconds(bytes, s.local_rate),
-                        rt + transfer_seconds(bytes, s.repo_rate));
+  return response_delta(sys.page(j).frequency, w.alpha1, lt, rt,
+                        lt - sys.comp_local_xfer(j, idx),
+                        rt + sys.comp_remote_xfer(j, idx));
 }
 
 double mark_comp_delta(const Assignment& asg, PageId j, std::uint32_t idx,
                        const Weights& w) {
   MMR_DCHECK(!asg.comp_local(j, idx));
   const SystemModel& sys = asg.system();
-  const Page& p = sys.page(j);
-  const Server& s = sys.server(p.host);
-  const std::uint64_t bytes = sys.object_bytes(p.compulsory[idx]);
   const double lt = asg.page_local_time(j);
   const double rt = asg.page_remote_time(j);
-  return response_delta(p.frequency, w.alpha1, lt, rt,
-                        lt + transfer_seconds(bytes, s.local_rate),
-                        rt - transfer_seconds(bytes, s.repo_rate));
+  return response_delta(sys.page(j).frequency, w.alpha1, lt, rt,
+                        lt + sys.comp_local_xfer(j, idx),
+                        rt - sys.comp_remote_xfer(j, idx));
 }
 
 namespace {
@@ -53,13 +47,9 @@ double opt_flip_delta(const Assignment& asg, PageId j, std::uint32_t idx,
                       const Weights& w, double sign) {
   const SystemModel& sys = asg.system();
   const Page& p = sys.page(j);
-  const Server& s = sys.server(p.host);
-  const OptionalRef& ref = p.optional[idx];
-  const std::uint64_t bytes = sys.object_bytes(ref.object);
-  const double t_local = s.ovhd_local + transfer_seconds(bytes, s.local_rate);
-  const double t_remote = s.ovhd_repo + transfer_seconds(bytes, s.repo_rate);
-  return sign * w.alpha2 * p.frequency * p.optional_scale * ref.probability *
-         (t_local - t_remote);
+  return sign * w.alpha2 * p.frequency * p.optional_scale *
+         p.optional[idx].probability *
+         (sys.opt_local_time(j, idx) - sys.opt_remote_time(j, idx));
 }
 
 }  // namespace
@@ -77,9 +67,9 @@ double mark_opt_delta(const Assignment& asg, PageId j, std::uint32_t idx,
 }
 
 double dealloc_delta(const SystemModel& sys, const Assignment& asg,
-                     ServerId i, ObjectId k, const Weights& w) {
+                     ServerId i, std::uint32_t rank, const Weights& w) {
   double delta = 0;
-  for (const PageObjectRef& ref : sys.object_refs_on_server(i, k)) {
+  for (const PageObjectRef& ref : sys.refs_at_rank(i, rank)) {
     if (!asg.ref_local(ref)) continue;
     // A page references an object at most once (validated at finalize), so
     // per-slot deltas over distinct pages are independent and additive.

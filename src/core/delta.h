@@ -1,7 +1,9 @@
 // O(1) evaluators for the effect of single decision changes on the composite
-// objective D, computed from the Assignment's cached pipeline times without
-// mutating anything. These drive the greedy constraint-restoration loops and
-// the off-loading absorption step.
+// objective D, computed from the Assignment's cached pipeline times and the
+// model's per-slot transfer-time caches without mutating anything (a caller
+// that changes a server's rates must refresh_network_caches() first). These
+// drive the greedy constraint-restoration loops and the off-loading
+// absorption step.
 #pragma once
 
 #include "model/assignment.h"
@@ -28,11 +30,11 @@ double unmark_opt_delta(const Assignment& asg, PageId j, std::uint32_t idx,
 double mark_opt_delta(const Assignment& asg, PageId j, std::uint32_t idx,
                       const Weights& w);
 
-/// Change in D if *every* local mark of object k at server i is cleared
-/// (the storage-restoration deallocation move). Touches each referencing
-/// page at most once; O(refs of k on i).
+/// Change in D if *every* local mark at server i of the object with rank
+/// `rank` on i is cleared (the storage-restoration deallocation move).
+/// Touches each referencing page at most once; O(refs of the object on i).
 double dealloc_delta(const SystemModel& sys, const Assignment& asg,
-                     ServerId i, ObjectId k, const Weights& w);
+                     ServerId i, std::uint32_t rank, const Weights& w);
 
 /// Eq. 8 workload freed at the host if the given slot flips local -> remote
 /// (symmetric: the workload added when flipping remote -> local).

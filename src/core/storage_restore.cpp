@@ -1,7 +1,6 @@
 #include "core/storage_restore.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "core/delta.h"
 #include "core/partition.h"
@@ -20,21 +19,35 @@ namespace {
 
 struct HeapEntry {
   double criterion;
-  ObjectId object;
   std::uint32_t rank;  // object's rank on the server under restoration
   std::uint64_t epoch;
-  bool operator>(const HeapEntry& o) const { return criterion > o.criterion; }
 };
 
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+/// A page that lost a local mark of the object being deallocated.
+struct AffectedPage {
+  PageId page;
+  bool compulsory;  // the cleared slot was compulsory
+  bool improved;    // its repartition found a strictly better marking
+};
+
+/// Heap comparator for the restoration's total order: criterion, then rank
+/// (== object-id order on the server). Ties never fall to the heap's layout,
+/// so the pop sequence depends only on the set of entries, not on how the
+/// heap was built.
+struct Later {
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    if (a.criterion != b.criterion) return a.criterion > b.criterion;
+    return a.rank > b.rank;
+  }
+};
 
 double criterion_for(const SystemModel& sys, const Assignment& asg,
-                     ServerId i, ObjectId k, const Weights& w,
+                     ServerId i, std::uint32_t rank, const Weights& w,
                      const StorageRestoreOptions& options) {
-  const double delta = dealloc_delta(sys, asg, i, k, w);
+  const double delta = dealloc_delta(sys, asg, i, rank, w);
   if (!options.amortize_by_size) return delta;
-  return delta / static_cast<double>(sys.object_bytes(k));
+  return delta /
+         static_cast<double>(sys.object_bytes(sys.object_at_rank(i, rank)));
 }
 
 /// `audit_run` / `audit_policy` are captured by restore_storage on the
@@ -54,9 +67,10 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
 
   // Lazy min-heap: entries carry the epoch at push time; a dirtied object
   // (epoch bumped) is re-scored only when it reaches the top, which avoids
-  // eager re-pushes for objects that never become the minimum. Epochs and
-  // the repartition "allowed" bitmap are rank-indexed per-server arrays
-  // (O(pool-size), not O(universe)) — this routine may run on a pool
+  // eager re-pushes for objects that never become the minimum. Every stored
+  // object has exactly one entry (a stale pop pushes its one replacement).
+  // Epochs and the repartition "allowed" bitmap are rank-indexed per-server
+  // arrays (O(pool-size), not O(universe)) — this routine may run on a pool
   // worker, so all its scratch is local.
   const std::uint32_t n_ranks = sys.num_referenced(i);
   const memacct::Charge scratch_charge(
@@ -65,19 +79,15 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
           (sizeof(std::uint64_t) + sizeof(std::uint8_t)));
   std::vector<std::uint64_t> epoch(n_ranks, 0);
   std::vector<std::uint8_t> allowed(n_ranks, 0);
-  MinHeap heap;
-  auto push_fresh = [&](ObjectId k, std::uint32_t rank) {
-    heap.push({criterion_for(sys, asg, i, k, w, options), k, rank,
-               epoch[rank]});
-  };
-  // Seed from the stored set in rank (== object-id) order so heap ties are
-  // deterministic.
+  std::vector<HeapEntry> heap;
   for (std::uint32_t rank = 0; rank < n_ranks; ++rank) {
     if (!asg.stored_at(i, rank)) continue;
-    push_fresh(sys.object_at_rank(i, rank), rank);
+    heap.push_back({criterion_for(sys, asg, i, rank, w, options), rank, 0});
     allowed[rank] = 1;
   }
+  std::make_heap(heap.begin(), heap.end(), Later{});
 
+  std::vector<AffectedPage> affected;  // reused across deallocations
   while (asg.storage_used(i) > server.storage_capacity) {
     if (heap.empty()) {
       // Nothing left to deallocate: the HTML footprint alone violates the
@@ -88,23 +98,27 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
                    << server.storage_capacity;
       break;
     }
-    const HeapEntry top = heap.top();
-    heap.pop();
-    const ObjectId k = top.object;
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    const HeapEntry top = heap.back();
+    heap.pop_back();
     const std::uint32_t rank = top.rank;
     if (!asg.stored_at(i, rank)) continue;  // dropped as a side effect
     if (top.epoch != epoch[rank]) {
-      push_fresh(k, rank);  // stale: re-score now that it surfaced
+      // Stale: re-score now that it surfaced.
+      heap.push_back(
+          {criterion_for(sys, asg, i, rank, w, options), rank, epoch[rank]});
+      std::push_heap(heap.begin(), heap.end(), Later{});
       continue;
     }
 
     // Deallocate: clear every local mark of k on this server.
+    const ObjectId k = sys.object_at_rank(i, rank);
     const std::uint64_t storage_before = asg.storage_used(i);
-    std::vector<PageId> affected;
+    affected.clear();
     for (const PageObjectRef& ref : sys.refs_at_rank(i, rank)) {
       if (asg.ref_local(ref)) {
         asg.set_ref_local(ref, false);
-        affected.push_back(ref.page);
+        affected.push_back({ref.page, ref.compulsory, false});
       }
     }
     ++report.deallocations;
@@ -112,15 +126,18 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
     MMR_DCHECK(!asg.stored_at(i, rank));
     allowed[rank] = 0;
 
+    // Every affected page is repartitioned against the same bitmap before
+    // any entry is refreshed.
     std::uint32_t repartitioned = 0;
     std::uint32_t improved = 0;
-    if (options.repartition_after_dealloc && !affected.empty()) {
-      for (PageId j : affected) {
+    if (options.repartition_after_dealloc) {
+      for (AffectedPage& a : affected) {
         ++report.repartitioned_pages;
         ++repartitioned;
-        if (repartition_within_store(sys, asg, j, allowed, w)) {
+        if (repartition_within_store(sys, asg, a.page, allowed, w)) {
           ++report.repartition_improvements;
           ++improved;
+          a.improved = true;
         }
       }
     }
@@ -142,22 +159,34 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
       audit_batch.push_back(std::move(e));
     }
 
-    // Repartitioning only touches the affected pages, so any object dropped
-    // from (or in principle returned to) the store is referenced by one of
-    // them: refresh exactly those bitmap entries and dirty their criteria
-    // (re-scored lazily when they surface in the heap).
-    for (PageId j : affected) {
+    // Dirty exactly the objects whose delta-D can have changed. An object's
+    // delta-D reads only its own local marks and, for each local compulsory
+    // slot, its page's two pipeline times; optional deltas are constant.
+    // - An improved page changed marks arbitrarily within the stored set:
+    //   refresh the bitmap (objects may have left the store) and dirty every
+    //   stored object on it.
+    // - Any other page lost only k's slot, so no other object changed its
+    //   stored status. Its pipeline times moved iff that slot was
+    //   compulsory, which dirties the page's still-local compulsory slots.
+    for (const AffectedPage& a : affected) {
+      const PageId j = a.page;
       const Page& p = sys.page(j);
-      auto refresh = [&](std::uint32_t r) {
-        const bool stored = asg.stored_at(i, r);
-        allowed[r] = stored && r != rank ? 1 : 0;
-        if (stored) ++epoch[r];
-      };
-      for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-        refresh(sys.comp_rank(j, idx));
-      }
-      for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-        refresh(sys.opt_rank(j, idx));
+      if (a.improved) {
+        auto refresh = [&](std::uint32_t r) {
+          const bool stored = asg.stored_at(i, r);
+          allowed[r] = stored ? 1 : 0;
+          if (stored) ++epoch[r];
+        };
+        for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+          refresh(sys.comp_rank(j, idx));
+        }
+        for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+          refresh(sys.opt_rank(j, idx));
+        }
+      } else if (a.compulsory) {
+        for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+          if (asg.comp_local(j, idx)) ++epoch[sys.comp_rank(j, idx)];
+        }
       }
     }
   }

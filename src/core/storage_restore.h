@@ -7,9 +7,9 @@
 // re-partitioned within the remaining stored set, exploiting objects that
 // are stored but were not marked for local download.
 //
-// Implementation: one lazy min-heap per server keyed by delta-D/size, with
-// per-object epochs; a deallocation dirties exactly the objects referenced
-// by the re-partitioned pages.
+// Implementation: one lazy min-heap per server keyed by (delta-D/size, rank),
+// with per-object epochs; a deallocation dirties exactly the objects whose
+// delta-D it can have changed (docs/ALGORITHM.md, stage 2).
 #pragma once
 
 #include <cstdint>

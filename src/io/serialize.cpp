@@ -1,5 +1,7 @@
 #include "io/serialize.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -24,16 +26,28 @@ void write_capacity(std::ostream& os, double capacity) {
   }
 }
 
-/// Line-oriented reader that tracks line numbers for error messages.
+/// Line-oriented reader that tracks line numbers for error messages and,
+/// when the stream can seek, how many input bytes are left.
 class LineReader {
  public:
-  explicit LineReader(std::istream& is) : is_(is) {}
+  explicit LineReader(std::istream& is) : is_(is) {
+    const std::istream::pos_type start = is_.tellg();
+    if (start == std::istream::pos_type(-1)) return;
+    is_.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is_.tellg();
+    is_.clear();
+    is_.seekg(start);
+    if (end != std::istream::pos_type(-1) && end >= start) {
+      remaining_ = static_cast<std::uint64_t>(end - start);
+    }
+  }
 
   /// Returns the next non-empty line; throws at EOF.
   std::string next(const char* expectation) {
     std::string line;
     while (std::getline(is_, line)) {
       ++line_number_;
+      remaining_ -= std::min<std::uint64_t>(remaining_, line.size() + 1);
       if (!line.empty()) return line;
     }
     MMR_CHECK_MSG(false, "unexpected end of input at line " << line_number_
@@ -57,9 +71,13 @@ class LineReader {
 
   int line_number() const { return line_number_; }
 
+  /// Input bytes not yet read; the maximum when the stream cannot seek.
+  std::uint64_t remaining() const { return remaining_; }
+
  private:
   std::istream& is_;
   int line_number_ = 0;
+  std::uint64_t remaining_ = std::numeric_limits<std::uint64_t>::max();
 };
 
 double read_capacity(std::istringstream& ss, const LineReader& reader) {
@@ -84,6 +102,20 @@ T read_value(std::istringstream& ss, const LineReader& reader,
   MMR_CHECK_MSG(!ss.fail(),
                 "line " << reader.line_number() << ": bad " << what);
   return value;
+}
+
+/// Reads the entry count `what` and rejects one larger than the input that
+/// is left: every entry takes at least one more byte, so a count past that
+/// is corrupt. Counts never size an allocation up front (a stream that
+/// cannot seek leaves them unchecked); entries are appended as they parse.
+std::size_t read_count(std::istringstream& ss, const LineReader& reader,
+                       const char* what) {
+  const auto count = read_value<std::size_t>(ss, reader, what);
+  MMR_CHECK_MSG(count <= reader.remaining(),
+                "line " << reader.line_number() << ": " << what << " "
+                        << count << " exceeds the " << reader.remaining()
+                        << " bytes of input left");
+  return count;
 }
 
 }  // namespace
@@ -134,7 +166,7 @@ SystemModel load_system(std::istream& is) {
   }
   {
     auto ss = reader.expect("servers");
-    const auto count = read_value<std::size_t>(ss, reader, "server count");
+    const auto count = read_count(ss, reader, "server count");
     for (std::size_t i = 0; i < count; ++i) {
       auto line = reader.expect("server");
       Server s;
@@ -150,7 +182,7 @@ SystemModel load_system(std::istream& is) {
   }
   {
     auto ss = reader.expect("objects");
-    const auto count = read_value<std::size_t>(ss, reader, "object count");
+    const auto count = read_count(ss, reader, "object count");
     for (std::size_t k = 0; k < count; ++k) {
       auto line = reader.expect("object");
       sys.add_object({read_value<std::uint64_t>(line, reader, "bytes")});
@@ -158,7 +190,7 @@ SystemModel load_system(std::istream& is) {
   }
   {
     auto ss = reader.expect("pages");
-    const auto count = read_value<std::size_t>(ss, reader, "page count");
+    const auto count = read_count(ss, reader, "page count");
     for (std::size_t j = 0; j < count; ++j) {
       auto line = reader.expect("page");
       Page p;
@@ -167,16 +199,12 @@ SystemModel load_system(std::istream& is) {
       p.frequency = read_value<double>(line, reader, "frequency");
       p.optional_scale =
           read_value<double>(line, reader, "optional scale");
-      const auto n_comp =
-          read_value<std::size_t>(line, reader, "compulsory count");
-      const auto n_opt =
-          read_value<std::size_t>(line, reader, "optional count");
-      p.compulsory.reserve(n_comp);
+      const auto n_comp = read_count(line, reader, "compulsory count");
+      const auto n_opt = read_count(line, reader, "optional count");
       for (std::size_t x = 0; x < n_comp; ++x) {
         auto c = reader.expect("c");
         p.compulsory.push_back(read_value<ObjectId>(c, reader, "object id"));
       }
-      p.optional.reserve(n_opt);
       for (std::size_t x = 0; x < n_opt; ++x) {
         auto o = reader.expect("o");
         OptionalRef ref;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/partition.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -62,7 +65,8 @@ TEST(Delta, DeallocMatchesBulkUnmark) {
   // Object 3 ("shared") has marks from pages 0 and 1 on server 0.
   const ObjectId shared = 3;
   ASSERT_TRUE(asg.object_stored(0, shared));
-  const double predicted = dealloc_delta(sys, asg, 0, shared, kW);
+  const double predicted =
+      dealloc_delta(sys, asg, 0, sys.object_rank_on_server(0, shared), kW);
   const double before = total(asg);
   for (const PageObjectRef& ref : sys.object_refs_on_server(0, shared)) {
     if (asg.ref_local(ref)) asg.set_ref_local(ref, false);
@@ -74,7 +78,8 @@ TEST(Delta, DeallocMatchesBulkUnmark) {
 TEST(Delta, DeallocOfUnstoredObjectIsZero) {
   const SystemModel sys = testing::two_server_system();
   const Assignment asg(sys);  // nothing stored
-  EXPECT_DOUBLE_EQ(dealloc_delta(sys, asg, 0, 0, kW), 0.0);
+  EXPECT_DOUBLE_EQ(
+      dealloc_delta(sys, asg, 0, sys.object_rank_on_server(0, 0), kW), 0.0);
 }
 
 TEST(Delta, SlotWorkloads) {
@@ -104,6 +109,67 @@ TEST(Delta, SlotWorkloadsDifferWithOptionalScale) {
   sys.finalize();
   EXPECT_DOUBLE_EQ(slot_workload(sys, {0, false, 0}), 4.0 * 0.5 * 0.3);
   EXPECT_DOUBLE_EQ(slot_repo_workload(sys, {0, false, 0}), 4.0 * 0.3);
+}
+
+// The evaluators read the model's per-slot transfer-time caches. After a
+// server's rates change through mutable_server() and the caches are
+// refreshed, every delta must match a from-scratch objective difference at
+// the new rates.
+TEST(Delta, MatchFromScratchAfterRateChange) {
+  SystemModel sys = generate_workload(testing::small_params(), 44);
+  Server& s = sys.mutable_server(0);
+  s.local_rate *= 3.0;
+  s.repo_rate *= 0.5;
+  s.ovhd_local += 0.25;
+  s.ovhd_repo *= 2.0;
+  sys.refresh_network_caches();
+
+  Assignment asg(sys);
+  Rng rng(44);
+  for (PageId j = 0; j < sys.num_pages(); ++j) {
+    if (rng.bernoulli(0.5)) partition_page(sys, asg, j);
+  }
+  const double before = objective_total(sys, asg, kW);
+  const double tolerance = 1e-9 * std::max(1.0, std::abs(before));
+  auto from_scratch_diff = [&](const Assignment& after) {
+    return objective_total(sys, after, kW) - before;
+  };
+
+  for (PageId j : sys.pages_on_server(0)) {
+    const Page& p = sys.page(j);
+    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+      const bool local = asg.comp_local(j, idx);
+      const double predicted = local ? unmark_comp_delta(asg, j, idx, kW)
+                                     : mark_comp_delta(asg, j, idx, kW);
+      Assignment after = asg;
+      after.set_comp_local(j, idx, !local);
+      ASSERT_NEAR(from_scratch_diff(after), predicted, tolerance)
+          << "page " << j << " compulsory slot " << idx;
+    }
+    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+      const bool local = asg.opt_local(j, idx);
+      const double predicted = local ? unmark_opt_delta(asg, j, idx, kW)
+                                     : mark_opt_delta(asg, j, idx, kW);
+      Assignment after = asg;
+      after.set_opt_local(j, idx, !local);
+      ASSERT_NEAR(from_scratch_diff(after), predicted, tolerance)
+          << "page " << j << " optional slot " << idx;
+    }
+  }
+
+  std::uint32_t stored = 0;
+  for (std::uint32_t rank = 0; rank < sys.num_referenced(0); ++rank) {
+    if (!asg.stored_at(0, rank)) continue;
+    ++stored;
+    Assignment after = asg;
+    for (const PageObjectRef& ref : sys.refs_at_rank(0, rank)) {
+      after.set_ref_local(ref, false);
+    }
+    ASSERT_NEAR(from_scratch_diff(after), dealloc_delta(sys, asg, 0, rank, kW),
+                tolerance)
+        << "rank " << rank;
+  }
+  EXPECT_GT(stored, 0u);
 }
 
 // Randomized agreement sweep across a generated workload.

@@ -104,6 +104,52 @@ TEST(SerializeSystem, ErrorMentionsLineNumber) {
   }
 }
 
+/// The tiny system's text with field `field` (0 = host) of its page line
+/// replaced by `value`.
+std::string tiny_text_with_page_field(std::size_t field,
+                                      const std::string& value) {
+  std::stringstream ss;
+  save_system(testing::tiny_system(), ss);
+  std::string text = ss.str();
+  const std::size_t line = text.find("\npage ") + 6;
+  std::size_t begin = line;
+  for (std::size_t f = 0; f < field; ++f) begin = text.find(' ', begin) + 1;
+  const std::size_t end = text.find_first_of(" \n", begin);
+  text.replace(begin, end - begin, value);
+  return text;
+}
+
+// A count no input could hold must be rejected before it sizes an
+// allocation (it used to abort in vector::reserve with std::length_error).
+TEST(SerializeSystem, RejectsHugeCompulsoryCount) {
+  std::stringstream ss(tiny_text_with_page_field(4, "4611686018427387904"));
+  try {
+    load_system(ss);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("compulsory count"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SerializeSystem, RejectsHugeOptionalCount) {
+  std::stringstream ss(tiny_text_with_page_field(5, "4611686018427387904"));
+  try {
+    load_system(ss);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("optional count"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SerializeSystem, CountsWithinInputStillParse) {
+  // The unmodified counts (2 compulsory, 1 optional) pass the bound.
+  std::stringstream ss(tiny_text_with_page_field(4, "2"));
+  EXPECT_NO_THROW(load_system(ss));
+}
+
 TEST(SerializeAssignment, RoundTrip) {
   const SystemModel sys = generate_workload(testing::small_params(), 34);
   Assignment asg(sys);

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+
 #include "core/partition.h"
 #include "model/cost.h"
+#include "model/shard.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
+#include "workload/scale.h"
 
 namespace mmr {
 namespace {
@@ -168,6 +174,220 @@ TEST_P(StorageRestoreProperty, RestoresAndKeepsCachesConsistent) {
   fresh.recompute_caches();
   EXPECT_NEAR(objective_total_cached(asg, kW),
               objective_total_cached(fresh, kW), 1e-6);
+}
+
+// ---- Differential test against the reference cascade -----------------------
+//
+// The reference below is the cascade in its plain form: criteria from the
+// division-based Eq. 3/4/6 formulas, the heap seeded push by push, and every
+// stored object on an affected page dirtied after each deallocation. It
+// shares only the (criterion, rank) total order with restore_storage, which
+// must reproduce it bit for bit: exact dirtying skips only re-scores that
+// would return the same value, and with one live entry per object such a
+// re-score is popped again at once.
+
+struct RefEntry {
+  double criterion;
+  std::uint32_t rank;
+  std::uint64_t epoch;
+};
+
+struct RefLater {
+  bool operator()(const RefEntry& a, const RefEntry& b) const {
+    if (a.criterion != b.criterion) return a.criterion > b.criterion;
+    return a.rank > b.rank;
+  }
+};
+
+double reference_criterion(const SystemModel& sys, const Assignment& asg,
+                           ServerId i, ObjectId k, const Weights& w,
+                           const StorageRestoreOptions& options) {
+  const Server& s = sys.server(i);
+  const std::uint64_t bytes = sys.object_bytes(k);
+  double delta = 0;
+  for (const PageObjectRef& ref : sys.object_refs_on_server(i, k)) {
+    if (!asg.ref_local(ref)) continue;
+    const Page& p = sys.page(ref.page);
+    if (ref.compulsory) {
+      const double lt = asg.page_local_time(ref.page);
+      const double rt = asg.page_remote_time(ref.page);
+      delta += w.alpha1 * p.frequency *
+               (std::max(lt - transfer_seconds(bytes, s.local_rate),
+                         rt + transfer_seconds(bytes, s.repo_rate)) -
+                std::max(lt, rt));
+    } else {
+      const double t_local =
+          s.ovhd_local + transfer_seconds(bytes, s.local_rate);
+      const double t_remote =
+          s.ovhd_repo + transfer_seconds(bytes, s.repo_rate);
+      delta += -1.0 * w.alpha2 * p.frequency * p.optional_scale *
+               p.optional[ref.index].probability * (t_local - t_remote);
+    }
+  }
+  if (!options.amortize_by_size) return delta;
+  return delta / static_cast<double>(bytes);
+}
+
+StorageRestoreReport reference_restore(const SystemModel& sys,
+                                       Assignment& asg, const Weights& w,
+                                       const StorageRestoreOptions& options) {
+  StorageRestoreReport report;
+  for (ServerId i = 0; i < sys.num_servers(); ++i) {
+    const std::uint64_t capacity = sys.server(i).storage_capacity;
+    if (asg.storage_used(i) <= capacity) continue;
+    const std::uint32_t n_ranks = sys.num_referenced(i);
+    std::vector<std::uint64_t> epoch(n_ranks, 0);
+    std::vector<std::uint8_t> allowed(n_ranks, 0);
+    std::priority_queue<RefEntry, std::vector<RefEntry>, RefLater> heap;
+    auto push = [&](std::uint32_t rank) {
+      heap.push({reference_criterion(sys, asg, i, sys.object_at_rank(i, rank),
+                                     w, options),
+                 rank, epoch[rank]});
+    };
+    for (std::uint32_t rank = 0; rank < n_ranks; ++rank) {
+      if (!asg.stored_at(i, rank)) continue;
+      push(rank);
+      allowed[rank] = 1;
+    }
+    while (asg.storage_used(i) > capacity) {
+      if (heap.empty()) {
+        report.infeasible_servers.push_back(i);
+        break;
+      }
+      const RefEntry top = heap.top();
+      heap.pop();
+      const std::uint32_t rank = top.rank;
+      if (!asg.stored_at(i, rank)) continue;
+      if (top.epoch != epoch[rank]) {
+        push(rank);
+        continue;
+      }
+      std::vector<PageId> affected;
+      for (const PageObjectRef& ref : sys.refs_at_rank(i, rank)) {
+        if (asg.ref_local(ref)) {
+          asg.set_ref_local(ref, false);
+          affected.push_back(ref.page);
+        }
+      }
+      ++report.deallocations;
+      report.bytes_freed += sys.object_bytes(sys.object_at_rank(i, rank));
+      allowed[rank] = 0;
+      if (options.repartition_after_dealloc) {
+        for (PageId j : affected) {
+          ++report.repartitioned_pages;
+          if (repartition_within_store(sys, asg, j, allowed, w)) {
+            ++report.repartition_improvements;
+          }
+        }
+      }
+      for (PageId j : affected) {
+        const Page& p = sys.page(j);
+        auto refresh = [&](std::uint32_t r) {
+          const bool stored = asg.stored_at(i, r);
+          allowed[r] = stored && r != rank ? 1 : 0;
+          if (stored) ++epoch[r];
+        };
+        for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+          refresh(sys.comp_rank(j, idx));
+        }
+        for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+          refresh(sys.opt_rank(j, idx));
+        }
+      }
+    }
+  }
+  return report;
+}
+
+/// Runs restore_storage at pools of 1/2/8 threads x 1/2/8 shards and
+/// requires every result to equal the reference cascade's bit for bit.
+void expect_matches_reference(const SystemModel& sys,
+                              const StorageRestoreOptions& options) {
+  Assignment start(sys);
+  partition_all(sys, start);
+  Assignment expected = start;
+  const StorageRestoreReport want =
+      reference_restore(sys, expected, kW, options);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    for (std::uint32_t shards : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, " << shards
+                                        << " shards");
+      const ShardPlan plan = make_shard_plan(sys, shards);
+      Assignment asg = start;
+      const StorageRestoreReport got =
+          restore_storage(sys, asg, kW, options, &pool, &plan);
+      EXPECT_EQ(asg.comp_bits(), expected.comp_bits());
+      EXPECT_EQ(asg.opt_bits(), expected.opt_bits());
+      EXPECT_EQ(got.deallocations, want.deallocations);
+      EXPECT_EQ(got.repartitioned_pages, want.repartitioned_pages);
+      EXPECT_EQ(got.repartition_improvements, want.repartition_improvements);
+      EXPECT_EQ(got.bytes_freed, want.bytes_freed);
+      EXPECT_EQ(got.infeasible_servers, want.infeasible_servers);
+      // Exact equality on purpose: same marks, same cache arithmetic.
+      EXPECT_EQ(objective_total_cached(asg, kW),
+                objective_total_cached(expected, kW));
+    }
+  }
+}
+
+TEST_P(StorageRestoreProperty, MatchesReferenceCascade) {
+  const auto [seed, fraction] = GetParam();
+  WorkloadParams params = testing::small_params();
+  params.storage_fraction = fraction;
+  const SystemModel sys = generate_workload(params, seed);
+  StorageRestoreOptions raw;
+  raw.amortize_by_size = false;
+  StorageRestoreOptions no_repart;
+  no_repart.repartition_after_dealloc = false;
+  for (const StorageRestoreOptions& options :
+       {StorageRestoreOptions{}, raw, no_repart}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "amortize " << options.amortize_by_size << ", repartition "
+                 << options.repartition_after_dealloc);
+    expect_matches_reference(sys, options);
+  }
+}
+
+TEST(StorageRestore, MatchesReferenceCascadeAtSmallScaleTier) {
+  WorkloadParams params = scale_params(ScaleTier::kSmall);
+  params.storage_fraction = 0.3;
+  const SystemModel sys = generate_workload(params, 11);
+  expect_matches_reference(sys, {});
+}
+
+TEST(StorageRestore, ExactTiesDeallocateLowerRankFirst) {
+  // Eight identical objects, each alone on an identical page: every
+  // criterion is the same double. Storage holds the HTML plus three objects,
+  // so five deallocations happen, all on exact ties, and the (criterion,
+  // rank) order must take ranks 0..4 whatever the heap's layout.
+  constexpr std::uint32_t kObjects = 8;
+  SystemModel sys;
+  Server s;
+  s.ovhd_local = 1.0;
+  s.ovhd_repo = 2.0;
+  s.local_rate = 100.0;
+  s.repo_rate = 10.0;
+  s.storage_capacity = kObjects * 10 + 3 * 500;
+  sys.add_server(s);
+  for (std::uint32_t x = 0; x < kObjects; ++x) {
+    const ObjectId k = sys.add_object({500});
+    Page p;
+    p.host = 0;
+    p.html_bytes = 10;
+    p.frequency = 1.0;
+    p.compulsory = {k};
+    sys.add_page(std::move(p));
+  }
+  sys.finalize();
+
+  Assignment asg(sys);
+  partition_all(sys, asg);
+  ASSERT_EQ(asg.stored_objects(0).size(), kObjects);
+  const auto report = restore_storage(sys, asg, kW);
+  EXPECT_TRUE(report.feasible());
+  EXPECT_EQ(report.deallocations, 5u);
+  EXPECT_EQ(asg.stored_objects(0), (std::vector<ObjectId>{5, 6, 7}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
