@@ -8,28 +8,17 @@
 //   --seed=N        base seed
 //   --threads=N     worker threads (0 = hardware)
 //   --quick         shrink to runs=5, requests=2000 for a fast look
-//   --metrics-out=F write metrics.json when the harness exits
-//   --trace-out=F   enable tracing, write trace.json when the harness exits
 //   --bench-out=F   write a BENCH_<name>.json artifact when the harness
 //                   exits (io/benchfmt schema)
-//   --audit-out=F   enable the solver audit log, write audit JSONL on exit
-//   --flight-out=F  enable the flight recorder, write flight JSONL on exit
-//   --flight-sample=N  record every Nth page arrival (default 100)
-//   --timeline-out=F   start the background resource sampler, write the
-//                      mmr-timeline JSONL artifact on exit
-//   --timeline-interval-ms=N  sampler tick interval (default 100)
-//   --progress      single-line stderr progress/ETA for the solver phases
-//   --mem-budget=N  fail fast (MemBudgetError) when tracked bytes exceed N
 //   --reps=N        measured repetitions of the whole harness body; each rep
 //                   contributes one sample per bench series (default 1)
 //   --warmup=N      extra leading repetitions discarded from bench stats
-//   --sketch-out=F  enable streaming telemetry, write the mmr-sketch JSONL
-//                   artifact (quantile sketches, hot set, windowed SLO)
 //   --obs           enable streaming telemetry without writing the artifact
 //                   (obs.* gauges + sketch-derived bench series only)
-//   --window=N      SLO window width in virtual seconds (default 60)
-//   --slo=R,S,T     SLO spec: response threshold [s], stretch threshold,
-//                   attainment target (default 2.0,1.5,0.99)
+// plus the run-artifact flags of obs/artifact_outputs.h (--metrics-out,
+// --trace-out, --audit-out, --flight-out, --timeline-out, --sketch-out,
+// --timeseries-out, --invariants-out and their knobs), written when the
+// harness exits.
 #pragma once
 
 #include <algorithm>
@@ -43,20 +32,15 @@
 
 #include "io/artifacts.h"
 #include "io/benchfmt.h"
-#include "io/provenance.h"
-#include "obs/invariants.h"
+#include "obs/artifact_outputs.h"
 #include "obs/obs.h"
-#include "obs/sketch_artifact.h"
-#include "obs/timeseries.h"
 #include "sim/runner.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/log.h"
-#include "util/memacct.h"
 #include "util/metrics.h"
 #include "util/table.h"
 #include "util/telemetry.h"
-#include "util/trace.h"
 
 namespace mmr::bench {
 
@@ -67,15 +51,8 @@ namespace detail {
 /// been torn down — so every worker's trace buffer has already flushed.
 struct ArtifactState {
   bool initialized = false;
-  std::string metrics_path;
-  std::string trace_path;
+  ArtifactOutputs outputs;
   std::string bench_path;
-  std::string audit_path;
-  std::string flight_path;
-  std::string timeline_path;
-  std::string sketch_path;
-  std::string timeseries_path;
-  std::string invariants_path;
   std::uint32_t reps = 1;
   std::uint32_t warmup = 0;
   RunMeta meta;
@@ -100,42 +77,12 @@ inline void write_artifacts_at_exit() {
                                       state.start)
             .count();
     state.meta.add("wall_seconds", wall);
-    if (!state.metrics_path.empty()) {
-      write_metrics_file(state.metrics_path, current_metrics().snapshot(),
-                         state.meta);
-    }
-    if (!state.trace_path.empty()) {
-      write_trace_file(state.trace_path, Tracer::instance(), state.meta);
-    }
     if (!state.bench_path.empty()) {
       write_bench_file(state.bench_path,
                        bench_collector().build(state.meta.tool, state.meta,
                                                state.warmup));
     }
-    if (!state.audit_path.empty()) {
-      write_audit_file(state.audit_path, global_audit_log(), state.meta);
-    }
-    if (!state.flight_path.empty()) {
-      write_flight_file(state.flight_path, global_flight_log(), state.meta);
-    }
-    if (!state.timeline_path.empty()) {
-      TimelineSampler& sampler = global_timeline_sampler();
-      const std::uint64_t dropped = sampler.dropped();
-      sampler.stop();
-      write_timeline_file(state.timeline_path, sampler.snapshot(), dropped,
-                          state.meta);
-    }
-    if (!state.sketch_path.empty()) {
-      write_sketch_file(state.sketch_path, global_obs_log(), state.meta);
-    }
-    if (!state.timeseries_path.empty()) {
-      write_timeseries_file(state.timeseries_path, global_timeseries_log(),
-                            state.meta);
-    }
-    if (!state.invariants_path.empty()) {
-      write_invariants_file(state.invariants_path, global_timeseries_log(),
-                            state.meta);
-    }
+    state.outputs.write(state.meta);
   } catch (const std::exception& e) {
     std::cerr << "error: failed to write run artifacts: " << e.what() << "\n";
   }
@@ -165,76 +112,25 @@ class CoutSilencer {
 
 }  // namespace detail
 
-/// Wires --metrics-out/--trace-out/--bench-out to artifact files written
-/// when the harness exits. Called by config_from_flags exactly once per
-/// process; a second call is a programming error and fails fast instead of
-/// silently re-registering the atexit writer over live ArtifactState.
+/// Wires --bench-out and the run-artifact flags to files written when the
+/// harness exits. Called by config_from_flags exactly once per process; a
+/// second call is a programming error and fails fast instead of silently
+/// re-registering the atexit writer over live ArtifactState.
 inline void init_artifacts(const Flags& flags, const ExperimentConfig& cfg) {
   detail::ArtifactState& state = detail::artifact_state();
   MMR_CHECK_MSG(!state.initialized,
                 "bench::init_artifacts called twice (config_from_flags may "
                 "only run once per process)");
   state.initialized = true;
-  state.metrics_path = flags.get_string("metrics-out", "");
-  state.trace_path = flags.get_string("trace-out", "");
   state.bench_path = flags.get_string("bench-out", "");
-  state.audit_path = flags.get_string("audit-out", "");
-  state.flight_path = flags.get_string("flight-out", "");
-  state.timeline_path = flags.get_string("timeline-out", "");
-  state.sketch_path = flags.get_string("sketch-out", "");
-  state.timeseries_path = flags.get_string("timeseries-out", "");
-  state.invariants_path = flags.get_string("invariants-out", "");
   state.reps =
       static_cast<std::uint32_t>(std::max<std::int64_t>(1, flags.get_int("reps", 1)));
   state.warmup =
       static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("warmup", 0)));
-  // Telemetry knobs that work with or without artifact outputs.
-  set_progress_enabled(flags.get_bool("progress", false));
-  const std::int64_t budget = flags.get_int("mem-budget", 0);
-  if (budget > 0) {
-    memacct::set_budget_bytes(static_cast<std::uint64_t>(budget));
-  }
-  // Streaming telemetry: config must be in place BEFORE the first simulate
-  // call creates a shard. --obs turns ingestion on without the artifact.
-  if (!state.sketch_path.empty() || flags.get_bool("obs", false)) {
-    ObsConfig ocfg = obs_config();
-    ocfg.window_s = flags.get_double("window", ocfg.window_s);
-    const std::string slo_spec = flags.get_string("slo", "");
-    if (!slo_spec.empty()) ocfg.slo = parse_slo_spec(slo_spec);
-    set_obs_config(ocfg);
-    set_obs_enabled(true);
-  }
-  // Queue-dynamics collection: like --sketch-out, the window config must be
-  // in place before the first DES simulate creates a shard. The invariant
-  // auditor consumes the same collector, so either output enables it.
-  if (!state.timeseries_path.empty() || !state.invariants_path.empty()) {
-    TimeseriesConfig tscfg = timeseries_config();
-    tscfg.window_s = flags.get_double("ts-window", tscfg.window_s);
-    tscfg.max_windows = static_cast<std::uint64_t>(flags.get_int(
-        "ts-max-windows", static_cast<std::int64_t>(tscfg.max_windows)));
-    set_timeseries_config(tscfg);
-    set_timeseries_enabled(true);
-  }
-  if (state.metrics_path.empty() && state.trace_path.empty() &&
-      state.bench_path.empty() && state.audit_path.empty() &&
-      state.flight_path.empty() && state.timeline_path.empty() &&
-      state.sketch_path.empty() && state.timeseries_path.empty() &&
-      state.invariants_path.empty()) {
-    return;
-  }
-  if (!state.trace_path.empty()) set_trace_enabled(true);
-  if (!state.audit_path.empty()) set_audit_enabled(true);
-  if (!state.flight_path.empty()) {
-    set_flight_enabled(true);
-    set_flight_sample_every(
-        static_cast<std::uint32_t>(flags.get_int("flight-sample", 100)));
-  }
-  if (!state.timeline_path.empty()) {
-    TimelineOptions topt;
-    topt.interval_ms = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, flags.get_int("timeline-interval-ms", 100)));
-    global_timeline_sampler().start(topt);
-  }
+  state.outputs.bind(flags);
+  // --obs turns streaming telemetry on without the artifact.
+  if (flags.get_bool("obs", false)) set_obs_enabled(true);
+  if (state.bench_path.empty() && !state.outputs.any()) return;
   state.start = std::chrono::steady_clock::now();
   std::string tool = flags.program_name();
   const std::size_t slash = tool.find_last_of('/');
@@ -247,21 +143,7 @@ inline void init_artifacts(const Flags& flags, const ExperimentConfig& cfg) {
       .add("threads", static_cast<std::uint64_t>(cfg.threads))
       .add("reps", static_cast<std::uint64_t>(state.reps))
       .add("warmup", static_cast<std::uint64_t>(state.warmup));
-  if (!state.flight_path.empty()) {
-    state.meta.add("flight_sample",
-                   static_cast<std::uint64_t>(flight_sample_every()));
-  }
-  if (!state.sketch_path.empty()) {
-    const ObsConfig ocfg = obs_config();
-    state.meta.add("sketch_alpha", ocfg.alpha)
-        .add("sketch_window_s", ocfg.window_s);
-  }
-  if (!state.timeseries_path.empty() || !state.invariants_path.empty()) {
-    state.meta.add("ts_window_s", timeseries_config().window_s);
-  }
-  if (budget > 0) {
-    state.meta.add("mem_budget", static_cast<std::uint64_t>(budget));
-  }
+  state.outputs.stamp(state.meta);
   std::atexit(detail::write_artifacts_at_exit);
 }
 
@@ -293,48 +175,16 @@ inline Flags standard_flags(int argc, const char* const* argv) {
       .describe("threads", "worker threads, 0 = hardware (default 0)")
       .describe("quick", "fast mode: runs=5, requests=2000")
       .describe("verbose", "enable info logging")
-      .describe("metrics-out", "write metrics.json to this path on exit")
-      .describe("trace-out",
-                "enable tracing; write Chrome trace.json to this path on exit")
       .describe("bench-out",
                 "write a BENCH_<name>.json benchmark artifact on exit")
-      .describe("audit-out",
-                "enable the solver audit log; write audit JSONL on exit")
-      .describe("flight-out",
-                "enable the flight recorder; write flight JSONL on exit")
-      .describe("flight-sample",
-                "flight recorder samples every Nth page arrival (default 100)")
-      .describe("timeline-out",
-                "start the resource sampler; write mmr-timeline JSONL on exit")
-      .describe("timeline-interval-ms",
-                "resource sampler tick interval (default 100)")
-      .describe("progress", "single-line stderr progress/ETA per solver phase")
-      .describe("mem-budget",
-                "abort (exit 3) when tracked memory exceeds this many bytes")
       .describe("reps",
                 "measured repetitions of the harness body (default 1); "
                 "output prints once, every rep samples the bench series")
       .describe("warmup",
                 "extra leading repetitions discarded from bench stats")
-      .describe("sketch-out",
-                "enable streaming telemetry; write mmr-sketch JSONL on exit")
       .describe("obs",
-                "enable streaming telemetry without writing the artifact")
-      .describe("window", "SLO window width in virtual seconds (default 60)")
-      .describe("slo",
-                "SLO spec RESP_S,STRETCH_X,TARGET (default 2.0,1.5,0.99)")
-      .describe("timeseries-out",
-                "enable DES queue-dynamics collection; write mmr-timeseries "
-                "JSONL on exit")
-      .describe("ts-window",
-                "queue-dynamics base window width in virtual seconds "
-                "(default 60)")
-      .describe("ts-max-windows",
-                "cells per station before windows coarsen (default 512, "
-                "0 = never)")
-      .describe("invariants-out",
-                "audit DES conservation laws; write mmr-invariants JSONL on "
-                "exit");
+                "enable streaming telemetry without writing the artifact");
+  ArtifactOutputs::describe(flags);
   return flags;
 }
 

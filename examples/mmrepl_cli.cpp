@@ -27,23 +27,18 @@
 //       [--threads=N --shards=K] shard the per-server event loops; the
 //       results are byte-identical at any thread/shard count.
 //
-// Every command also accepts --metrics-out=<path> / --trace-out=<path> to
-// dump the run's metrics.json / Chrome trace.json, plus
-// --audit-out=<path> / --flight-out=<path> [--flight-sample=N] for the
-// solver audit log and per-request flight recorder (docs/OBSERVABILITY.md).
-//
-// Resource telemetry (docs/OBSERVABILITY.md "Watching a long solve"):
-//   --timeline-out=<path> [--timeline-interval-ms=100]
-//       background RSS/memacct/phase sampler, mmr-timeline JSONL on exit
-//   --progress         single-line stderr progress/ETA per solver phase
-//   --mem-budget=<bytes>
-//       fail fast (exit 3) before tracked allocations exceed the budget
-//
-// Queue dynamics (docs/OBSERVABILITY.md "Watching the queues"; DES mode):
-//   --timeseries-out=<path> [--ts-window=SECONDS] [--ts-max-windows=N]
-//       per-station queue-depth/utilization windows, mmr-timeseries JSONL
-//   --invariants-out=<path>
-//       conservation-law audit verdicts, mmr-invariants JSONL
+// Every command also accepts the run-artifact flags of
+// obs/artifact_outputs.h (docs/OBSERVABILITY.md "Artifact flags"):
+// --metrics-out / --trace-out for metrics.json / Chrome trace.json,
+// --audit-out / --flight-out [--flight-sample=N] for the solver audit log
+// and per-request flight recorder, --timeline-out
+// [--timeline-interval-ms=100] for the background resource sampler,
+// --sketch-out [--window=N --slo=R,S,T] for streaming telemetry,
+// --timeseries-out [--ts-window=SECONDS --ts-max-windows=N] and
+// --invariants-out for DES queue dynamics and its conservation-law audit,
+// --progress for a stderr progress/ETA line, and --mem-budget=<bytes> to
+// fail fast (exit 3) before tracked allocations exceed the budget. A bad
+// flag value exits 1.
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -51,22 +46,15 @@
 #include <memory>
 
 #include "core/policy.h"
-#include "io/artifacts.h"
-#include "io/provenance.h"
 #include "io/serialize.h"
-#include "obs/invariants.h"
+#include "obs/artifact_outputs.h"
 #include "obs/obs.h"
-#include "obs/sketch_artifact.h"
-#include "obs/timeseries.h"
 #include "sim/des.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
 #include "util/memacct.h"
 #include "util/thread_pool.h"
-#include "util/metrics.h"
-#include "util/telemetry.h"
 #include "util/table.h"
-#include "util/trace.h"
 #include "workload/generator.h"
 #include "workload/stats.h"
 
@@ -273,52 +261,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string& cmd = flags.positional()[0];
-  const std::string metrics_out = flags.get_string("metrics-out", "");
-  const std::string trace_out = flags.get_string("trace-out", "");
-  const std::string audit_out = flags.get_string("audit-out", "");
-  const std::string flight_out = flags.get_string("flight-out", "");
-  const std::string timeline_out = flags.get_string("timeline-out", "");
-  const std::string sketch_out = flags.get_string("sketch-out", "");
-  const std::string timeseries_out = flags.get_string("timeseries-out", "");
-  const std::string invariants_out = flags.get_string("invariants-out", "");
-  {
-    // SLO/window config must be set before any simulate creates a shard.
-    ObsConfig ocfg = obs_config();
-    ocfg.window_s = flags.get_double("window", ocfg.window_s);
-    const std::string slo_spec = flags.get_string("slo", "");
-    if (!slo_spec.empty()) ocfg.slo = parse_slo_spec(slo_spec);
-    set_obs_config(ocfg);
-  }
-  if (!sketch_out.empty()) set_obs_enabled(true);
-  if (!timeseries_out.empty() || !invariants_out.empty()) {
-    // Window config before the first DES simulate creates a shard.
-    TimeseriesConfig tscfg = timeseries_config();
-    tscfg.window_s = flags.get_double("ts-window", tscfg.window_s);
-    tscfg.max_windows = static_cast<std::uint64_t>(flags.get_int(
-        "ts-max-windows", static_cast<std::int64_t>(tscfg.max_windows)));
-    set_timeseries_config(tscfg);
-    set_timeseries_enabled(true);
-  }
-  if (!trace_out.empty()) set_trace_enabled(true);
-  if (!audit_out.empty()) set_audit_enabled(true);
-  if (!flight_out.empty()) {
-    set_flight_enabled(true);
-    set_flight_sample_every(
-        static_cast<std::uint32_t>(flags.get_int("flight-sample", 100)));
-  }
-  set_progress_enabled(flags.get_bool("progress", false));
-  const std::int64_t budget = flags.get_int("mem-budget", 0);
-  if (budget > 0) {
-    memacct::set_budget_bytes(static_cast<std::uint64_t>(budget));
-  }
-  if (!timeline_out.empty()) {
-    TimelineOptions topt;
-    topt.interval_ms = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, flags.get_int("timeline-interval-ms", 100)));
-    global_timeline_sampler().start(topt);
-  }
   const auto start = std::chrono::steady_clock::now();
   try {
+    ArtifactOutputs outputs;
+    outputs.bind(flags);
     int rc;
     if (cmd == "generate") {
       rc = cmd_generate(flags);
@@ -334,43 +280,16 @@ int main(int argc, char** argv) {
       std::cerr << "unknown command '" << cmd << "'\n" << usage;
       return 1;
     }
-    if (!metrics_out.empty() || !trace_out.empty() || !audit_out.empty() ||
-        !flight_out.empty() || !timeline_out.empty() || !sketch_out.empty() ||
-        !timeseries_out.empty() || !invariants_out.empty()) {
+    if (outputs.any()) {
       RunMeta meta;
       meta.tool = "mmrepl_cli";
       meta.add("command", cmd);
+      outputs.stamp(meta);
       meta.add("wall_seconds",
                std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
                    .count());
-      if (!metrics_out.empty()) {
-        write_metrics_file(metrics_out, current_metrics().snapshot(), meta);
-      }
-      if (!trace_out.empty()) {
-        write_trace_file(trace_out, Tracer::instance(), meta);
-      }
-      if (!audit_out.empty()) {
-        write_audit_file(audit_out, global_audit_log(), meta);
-      }
-      if (!flight_out.empty()) {
-        write_flight_file(flight_out, global_flight_log(), meta);
-      }
-      if (!timeline_out.empty()) {
-        TimelineSampler& sampler = global_timeline_sampler();
-        const std::uint64_t dropped = sampler.dropped();
-        sampler.stop();
-        write_timeline_file(timeline_out, sampler.snapshot(), dropped, meta);
-      }
-      if (!sketch_out.empty()) {
-        write_sketch_file(sketch_out, global_obs_log(), meta);
-      }
-      if (!timeseries_out.empty()) {
-        write_timeseries_file(timeseries_out, global_timeseries_log(), meta);
-      }
-      if (!invariants_out.empty()) {
-        write_invariants_file(invariants_out, global_timeseries_log(), meta);
-      }
+      outputs.write(meta);
     }
     return rc;
   } catch (const memacct::MemBudgetError& e) {

@@ -1,10 +1,11 @@
 #include "io/artifacts.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
-#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -21,22 +22,13 @@ std::string json_number(double v) {
   return os.str();
 }
 
-void write_run_meta(JsonWriter& w, const RunMeta& meta) {
+void write_run_meta(JsonWriter& w, const RunMeta& meta, bool timestamp) {
   w.key("run_meta").begin_object();
   w.kv("tool", meta.tool);
   w.kv("git_describe", build_git_describe());
-  w.kv("timestamp_utc", iso8601_utc_now());
+  if (timestamp) w.kv("timestamp_utc", iso8601_utc_now());
   for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
   w.end_object();
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
 }
 
 }  // namespace
@@ -92,7 +84,7 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
                         const RunMeta& meta) {
   JsonWriter w(os);
   w.begin_object();
-  write_run_meta(w, meta);
+  write_run_meta(w, meta, true);
 
   w.key("counters").begin_object();
   for (const auto& [name, v] : snapshot.counters) w.kv(name, v);
@@ -142,28 +134,149 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
   os << '\n';
 }
 
-void write_metrics_file(const std::string& path,
-                        const MetricsSnapshot& snapshot, const RunMeta& meta) {
-  write_to_file(path, [&](std::ostream& os) {
-    write_metrics_json(os, snapshot, meta);
-  });
-}
-
 void write_trace_json(std::ostream& os, Tracer& tracer, const RunMeta& meta) {
   JsonWriter w(os);
   w.begin_object();
-  write_run_meta(w, meta);
+  write_run_meta(w, meta, true);
   Tracer::write_events_member(w, tracer.snapshot());
   w.kv("displayTimeUnit", "ms");
   w.end_object();
   os << '\n';
 }
 
-void write_trace_file(const std::string& path, Tracer& tracer,
-                      const RunMeta& meta) {
-  write_to_file(path,
-                [&](std::ostream& os) { write_trace_json(os, tracer, meta); });
+void write_artifact_file(const std::string& path,
+                         const std::function<void(std::ostream&)>& body) {
+  std::ofstream os(path);
+  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
+  body(os);
+  os.flush();
+  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
 }
+
+std::string read_artifact_text(const std::string& path) {
+  std::ifstream is(path);
+  MMR_CHECK_MSG(is.good(),
+                "artifact '" + path + "' is missing or unreadable");
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  std::string text = buffer.str();
+  MMR_CHECK_MSG(text.find_first_not_of(" \t\r\n") != std::string::npos,
+                "artifact '" + path + "' is empty");
+  return text;
+}
+
+// ---------------------------------------------------------------------------
+// JSONL envelope
+
+void write_jsonl_header(std::ostream& os, const char* schema,
+                        const RunMeta& meta,
+                        const std::function<void(JsonWriter&)>& config,
+                        bool timestamp) {
+  JsonWriter w(os);
+  w.begin_object();
+  w.kv("schema", schema);
+  w.kv("version", std::int64_t{1});
+  if (config) config(w);
+  write_run_meta(w, meta, timestamp);
+  w.end_object();
+  os << '\n';
+}
+
+void write_jsonl_summary(std::ostream& os, std::uint64_t count,
+                         std::uint64_t dropped, const char* count_key,
+                         const std::function<void(JsonWriter&)>& extra) {
+  JsonWriter w(os);
+  w.begin_object();
+  w.kv("type", "summary");
+  w.kv(count_key, count);
+  w.kv("dropped", dropped);
+  if (extra) extra(w);
+  w.end_object();
+  os << '\n';
+}
+
+std::vector<const JsonValue*> JsonlDoc::of_type(
+    const std::string& type) const {
+  std::vector<const JsonValue*> out;
+  for (const JsonValue& e : events) {
+    if (e.at("type").str_v == type) out.push_back(&e);
+  }
+  return out;
+}
+
+void parse_jsonl(const std::string& text, const JsonlSchema& schema,
+                 JsonlDoc& doc) {
+  bool have_header = false;
+  std::size_t line_no = 0;
+  std::string line;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    line.assign(text, pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    JsonValue v = json_parse(line);
+    MMR_CHECK_MSG(v.is_object(),
+                  "JSONL line " << line_no << " is not a JSON object");
+    if (!have_header) {
+      MMR_CHECK_MSG(v.has("schema"),
+                    "JSONL header line lacks a 'schema' field");
+      doc.schema = v.at("schema").str_v;
+      MMR_CHECK_MSG(std::find(schema.names.begin(), schema.names.end(),
+                              doc.schema) != schema.names.end(),
+                    "unknown schema '" << doc.schema << "', expected "
+                                       << schema.names.front());
+      const JsonValue& version = v.at("version");
+      MMR_CHECK_MSG(version.type == JsonValue::Type::kNumber &&
+                        version.num_v == 1,
+                    doc.schema << " header declares an unsupported version");
+      doc.version = 1;
+      if (schema.check_header) schema.check_header(v);
+      doc.header = std::move(v);
+      have_header = true;
+      continue;
+    }
+    MMR_CHECK_MSG(v.has("type") &&
+                      v.at("type").type == JsonValue::Type::kString,
+                  doc.schema << " line " << line_no
+                             << " lacks a string 'type' field");
+    if (v.at("type").str_v == "summary") {
+      MMR_CHECK_MSG(!doc.has_summary,
+                    "duplicate " << doc.schema << " summary line");
+      doc.has_summary = true;
+      doc.declared_events =
+          json_count(v.at(schema.count_key), schema.count_key);
+      doc.declared_dropped = json_count(v.at("dropped"), "dropped");
+      doc.summary = std::move(v);
+      continue;
+    }
+    MMR_CHECK_MSG(!doc.has_summary,
+                  doc.schema << " event after the summary line");
+    if (schema.check_event) schema.check_event(v, line_no);
+    doc.events.push_back(std::move(v));
+  }
+  MMR_CHECK_MSG(have_header, "JSONL document has no header line");
+  MMR_CHECK_MSG(doc.has_summary,
+                doc.schema << " document has no summary line");
+  MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
+                doc.schema << " summary declares " << doc.declared_events
+                           << " " << schema.count_key << " but "
+                           << doc.events.size() << " are present");
+}
+
+void require_fields(const JsonValue& v, const char* schema,
+                    std::size_t line_no,
+                    std::initializer_list<const char*> fields) {
+  for (const char* field : fields) {
+    MMR_CHECK_MSG(v.has(field), schema << " line " << line_no
+                                       << " lacks the '" << field
+                                       << "' field");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// mmr-timeline
 
 namespace {
 
@@ -178,18 +291,14 @@ void write_counter_values(JsonWriter& w, const PerfCounterValues& v) {
 
 void write_timeline_jsonl(std::ostream& os, const TimelineSnapshot& snapshot,
                           std::uint64_t dropped, const RunMeta& meta) {
-  {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("schema", "mmr-timeline");
-    w.kv("version", std::int64_t{1});
-    w.kv("interval_ms", static_cast<std::uint64_t>(snapshot.interval_ms));
-    w.kv("counters",
-         snapshot.counters_available ? "available" : "unavailable");
-    write_run_meta(w, meta);
-    w.end_object();
-    os << '\n';
-  }
+  write_jsonl_header(
+      os, "mmr-timeline", meta,
+      [&](JsonWriter& w) {
+        w.kv("interval_ms", static_cast<std::uint64_t>(snapshot.interval_ms));
+        w.kv("counters",
+             snapshot.counters_available ? "available" : "unavailable");
+      },
+      true);
   for (const TimelineSample& s : snapshot.samples) {
     JsonWriter w(os);
     w.begin_object();
@@ -224,100 +333,47 @@ void write_timeline_jsonl(std::ostream& os, const TimelineSnapshot& snapshot,
     w.end_object();
     os << '\n';
   }
-  {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("type", "summary");
-    w.kv("samples", static_cast<std::uint64_t>(snapshot.samples.size()));
-    w.kv("dropped", dropped);
-    w.key("phase_perf").begin_object();
-    for (const auto& [phase, totals] : snapshot.phase_perf) {
-      w.key(phase).begin_object();
-      w.kv("entries", totals.entries);
-      write_counter_values(w, totals.values);
-      w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-    os << '\n';
-  }
-}
-
-void write_timeline_file(const std::string& path,
-                         const TimelineSnapshot& snapshot,
-                         std::uint64_t dropped, const RunMeta& meta) {
-  write_to_file(path, [&](std::ostream& os) {
-    write_timeline_jsonl(os, snapshot, dropped, meta);
-  });
+  write_jsonl_summary(
+      os, snapshot.samples.size(), dropped, "samples", [&](JsonWriter& w) {
+        w.key("phase_perf").begin_object();
+        for (const auto& [phase, totals] : snapshot.phase_perf) {
+          w.key(phase).begin_object();
+          w.kv("entries", totals.entries);
+          write_counter_values(w, totals.values);
+          w.end_object();
+        }
+        w.end_object();
+      });
 }
 
 TimelineDoc parse_timeline_jsonl(const std::string& text) {
   TimelineDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "timeline line " + std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "timeline header line lacks a 'schema' field");
-      MMR_CHECK_MSG(v.at("schema").str_v == "mmr-timeline",
-                    "unknown timeline schema '" + v.at("schema").str_v + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      doc.interval_ms =
-          static_cast<std::uint32_t>(v.at("interval_ms").num_v);
-      const std::string& counters = v.at("counters").str_v;
-      MMR_CHECK_MSG(counters == "available" || counters == "unavailable",
-                    "timeline 'counters' must be available|unavailable, got '" +
-                        counters + "'");
-      doc.counters_available = counters == "available";
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "timeline line " + std::to_string(line_no) +
-                                     " lacks a 'type' field");
+  JsonlSchema schema;
+  schema.names = {"mmr-timeline"};
+  schema.count_key = "samples";
+  schema.check_header = [&](const JsonValue& h) {
+    const std::uint64_t interval =
+        json_count(h.at("interval_ms"), "interval_ms");
+    MMR_CHECK_MSG(interval <= UINT32_MAX, "timeline interval_ms too large");
+    doc.interval_ms = static_cast<std::uint32_t>(interval);
+    const std::string& counters = h.at("counters").str_v;
+    MMR_CHECK_MSG(counters == "available" || counters == "unavailable",
+                  "timeline 'counters' must be available|unavailable, got '" +
+                      counters + "'");
+    doc.counters_available = counters == "available";
+  };
+  schema.check_event = [](const JsonValue& v, std::size_t line_no) {
     const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate timeline summary line");
-      doc.has_summary = true;
-      doc.declared_samples =
-          static_cast<std::uint64_t>(v.at("samples").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      if (v.has("phase_perf")) doc.phase_perf = v.at("phase_perf");
-      continue;
-    }
-    MMR_CHECK_MSG(type == "sample", "timeline line " +
-                                        std::to_string(line_no) +
-                                        " has unknown type '" + type + "'");
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "timeline sample line after the summary line");
-    MMR_CHECK_MSG(v.has("t_ms") && v.has("phase") && v.has("mem"),
-                  "timeline sample line " + std::to_string(line_no) +
-                      " lacks t_ms/phase/mem");
-    doc.samples.push_back(std::move(v));
+    MMR_CHECK_MSG(type == "sample", "mmr-timeline line "
+                                        << line_no << " has unknown type '"
+                                        << type << "'");
+    require_fields(v, "mmr-timeline", line_no, {"t_ms", "phase", "mem"});
+  };
+  parse_jsonl(text, schema, doc);
+  if (doc.summary.has("phase_perf")) {
+    doc.phase_perf = doc.summary.at("phase_perf");
   }
-  MMR_CHECK_MSG(have_header, "timeline document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "timeline document has no summary line");
-  MMR_CHECK_MSG(doc.declared_samples == doc.samples.size(),
-                "timeline summary declares " +
-                    std::to_string(doc.declared_samples) + " samples but " +
-                    std::to_string(doc.samples.size()) + " are present");
   return doc;
-}
-
-TimelineDoc read_timeline_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_timeline_jsonl(buf.str());
 }
 
 }  // namespace mmr

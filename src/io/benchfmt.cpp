@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -174,20 +173,18 @@ void write_bench_json(std::ostream& os, const BenchArtifact& artifact) {
 }
 
 void write_bench_file(const std::string& path, const BenchArtifact& artifact) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  write_bench_json(os, artifact);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
+  write_artifact_file(
+      path, [&](std::ostream& os) { write_bench_json(os, artifact); });
 }
 
 BenchArtifact parse_bench_json(const std::string& text) {
   const JsonValue root = json_parse(text);
   MMR_CHECK_MSG(root.is_object(), "BENCH json root must be an object");
   BenchArtifact a;
-  a.schema_version = static_cast<int>(num(root.at("schema_version")));
-  MMR_CHECK_MSG(a.schema_version == kBenchSchemaVersion,
-                "unsupported BENCH schema_version " << a.schema_version);
+  const double version = num(root.at("schema_version"));
+  MMR_CHECK_MSG(version == kBenchSchemaVersion,
+                "unsupported BENCH schema_version " << version);
+  a.schema_version = kBenchSchemaVersion;
   const JsonValue& meta = root.at("run_meta");
   MMR_CHECK_MSG(meta.is_object(), "run_meta must be an object");
   for (const auto& [key, value] : meta.obj) {
@@ -212,11 +209,11 @@ BenchArtifact parse_bench_json(const std::string& text) {
     MMR_CHECK_MSG(m.direction == "lower" || m.direction == "higher" ||
                       m.direction == "none",
                   "bad direction '" << m.direction << "' in BENCH json");
-    m.warmup = static_cast<std::size_t>(num(mv.at("warmup")));
+    m.warmup = json_count(mv.at("warmup"), "warmup");
     for (const JsonValue& s : mv.at("samples").arr) m.samples.push_back(num(s));
     const JsonValue& st = mv.at("stats");
-    m.stats.count = static_cast<std::size_t>(num(st.at("count")));
-    m.stats.discarded = static_cast<std::size_t>(num(st.at("discarded")));
+    m.stats.count = json_count(st.at("count"), "count");
+    m.stats.discarded = json_count(st.at("discarded"), "discarded");
     m.stats.mean = num(st.at("mean"));
     m.stats.stddev = num(st.at("stddev"));
     m.stats.min = num(st.at("min"));
@@ -230,11 +227,7 @@ BenchArtifact parse_bench_json(const std::string& text) {
 }
 
 BenchArtifact read_bench_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_bench_json(buf.str());
+  return parse_bench_json(read_artifact_text(path));
 }
 
 void BenchCollector::record(const std::string& name, const std::string& unit,

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <tuple>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/memacct.h"
@@ -27,45 +26,6 @@ thread_local std::uint64_t t_provenance_run = kProvenanceNoRun;
 /// them as -1 so consumers need no knowledge of the sentinel.
 std::int64_t server_field(ServerId i) {
   return i == kInvalidId ? -1 : static_cast<std::int64_t>(i);
-}
-
-/// Capacity fields: unlimited serializes as null (JsonWriter already maps
-/// non-finite doubles to null, so plain kv() does the right thing).
-
-void write_header(std::ostream& os, const char* schema, const RunMeta& meta,
-                  const std::function<void(JsonWriter&)>& extra) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", schema);
-  w.kv("version", std::int64_t{1});
-  if (extra) extra(w);
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
-
-void write_summary(std::ostream& os, std::uint64_t events,
-                   std::uint64_t dropped) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", events);
-  w.kv("dropped", dropped);
-  w.end_object();
-  os << '\n';
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
 }
 
 }  // namespace
@@ -114,37 +74,152 @@ void set_next_provenance_scenario(std::uint64_t value) {
 }
 
 // ---------------------------------------------------------------------------
+// Capped event stores
+
+namespace {
+
+// Canonical order: producers record per-entity step sequences, so sorting
+// by (run, policy, entity, step) fully determines the artifact bytes
+// regardless of which worker thread appended first.
+auto canonical_key(const PartitionDecision& e) {
+  return std::tie(e.run, e.policy, e.page, e.step);
+}
+auto canonical_key(const EvictionEvent& e) {
+  return std::tie(e.run, e.policy, e.server, e.step);
+}
+auto canonical_key(const UnmarkEvent& e) {
+  return std::tie(e.run, e.policy, e.server, e.step);
+}
+auto canonical_key(const OffloadRoundEvent& e) {
+  return std::tie(e.run, e.policy, e.round);
+}
+auto canonical_key(const OffloadAnswerEvent& e) {
+  return std::tie(e.run, e.policy, e.round, e.server);
+}
+auto canonical_key(const HeadroomStamp& e) {
+  return std::tie(e.run, e.policy, e.phase, e.server);
+}
+auto canonical_key(const ReplicaDegreeEvent& e) {
+  return std::tie(e.run, e.policy, e.object);
+}
+auto canonical_key(const FlightRecord& r) {
+  return std::tie(r.run, r.policy, r.mode, r.server, r.index);
+}
+
+template <typename T>
+bool canonical_less(const T& a, const T& b) {
+  return canonical_key(a) < canonical_key(b);
+}
+
+/// Position of T in Ts.
+template <typename T, typename... Ts>
+constexpr std::size_t index_of() {
+  std::size_t i = 0;
+  (void)((std::is_same_v<T, Ts> ? false : (++i, true)) && ...);
+  return i;
+}
+
+/// Event lists with a deterministic cap. The lists are taken in artifact
+/// order, each sorted canonically, and the store keeps the first
+/// `max_events` events of that sequence whatever order the batches arrive
+/// in; the rest are counted as dropped. Batches append unsorted. When the
+/// store holds twice the cap it sorts and trims, and from then on drops on
+/// arrival every event that sorts after the last one kept, so it never
+/// holds more than twice the cap. Callers hold the owning mutex.
+template <typename... Ts>
+struct CappedEvents {
+  static constexpr std::size_t kNoBound = sizeof...(Ts);
+
+  std::tuple<std::vector<Ts>...> lists;
+  std::size_t held = 0;
+  std::size_t max_events = 1'000'000;
+  std::uint64_t dropped = 0;
+  std::uint64_t held_bytes = 0;  ///< memacct provenance.buffers charge
+  /// After a trim that cut events: the list holding the last kept event,
+  /// and that event. Later lists, and later events of this list, drop.
+  std::size_t bound_list = kNoBound;
+  std::tuple<std::optional<Ts>...> bound;
+
+  template <typename T>
+  void add(std::vector<T>&& batch) {
+    constexpr std::size_t kList = index_of<T, Ts...>();
+    const std::size_t offered = batch.size();
+    if (bound_list < kList) {
+      batch.clear();
+    } else if (bound_list == kList) {
+      const std::optional<T>& last = std::get<kList>(bound);
+      std::erase_if(batch, [&](const T& e) {
+        return !last || canonical_less(*last, e);
+      });
+    }
+    dropped += offered - batch.size();
+    const std::uint64_t bytes = batch.size() * sizeof(T);
+    memacct::charge(memacct::Category::kProvenanceBuffers, bytes);
+    held_bytes += bytes;
+    std::vector<T>& into = std::get<kList>(lists);
+    into.insert(into.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
+    held += batch.size();
+    if (held > 2 * max_events) {
+      const std::uint64_t before = held_bytes;
+      trim();
+      memacct::release(memacct::Category::kProvenanceBuffers,
+                       before - held_bytes);
+    }
+  }
+
+  /// Sorts every list and keeps the first `max_events` events.
+  void trim() {
+    bound_list = kNoBound;
+    bound = {};
+    std::size_t room = max_events;
+    std::apply([&](auto&... list) { (trim_list(list, room), ...); }, lists);
+    held = max_events - room;
+  }
+
+  template <typename T>
+  void trim_list(std::vector<T>& list, std::size_t& room) {
+    std::sort(list.begin(), list.end(), canonical_less<T>);
+    const std::size_t keep = std::min(room, list.size());
+    const std::size_t cut = list.size() - keep;
+    if (cut > 0 && bound_list == kNoBound) {
+      // The first list that loses events holds the bound: its last kept
+      // event or, when it keeps none, no event (the list drops entirely).
+      bound_list = index_of<T, Ts...>();
+      if (keep > 0) std::get<std::optional<T>>(bound) = list[keep - 1];
+    }
+    dropped += cut;
+    held_bytes -= cut * sizeof(T);
+    list.resize(keep);
+    room -= keep;
+  }
+
+  /// Events a snapshot would keep / drop.
+  std::size_t kept() const { return std::min(held, max_events); }
+  std::uint64_t all_dropped() const { return dropped + held - kept(); }
+
+  void clear() {
+    std::apply([](auto&... list) { (list.clear(), ...); }, lists);
+    memacct::release(memacct::Category::kProvenanceBuffers, held_bytes);
+    held = 0;
+    dropped = 0;
+    held_bytes = 0;
+    bound_list = kNoBound;
+    bound = {};
+  }
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // AuditLog
 
 struct AuditLog::Impl {
   mutable std::mutex mutex;
-  std::vector<PartitionDecision> partitions;
-  std::vector<EvictionEvent> evictions;
-  std::vector<UnmarkEvent> unmarks;
-  std::vector<OffloadRoundEvent> offload_rounds;
-  std::vector<OffloadAnswerEvent> offload_answers;
-  std::vector<HeadroomStamp> headroom;
-  std::vector<ReplicaDegreeEvent> replicas;
-  std::size_t total = 0;
-  std::uint64_t dropped = 0;
-  std::size_t max_events = 1'000'000;
-  std::uint64_t held_bytes = 0;  ///< memacct provenance.buffers charge
-
-  /// Appends as much of `batch` as the cap admits; the remainder is counted
-  /// as dropped. Caller holds the mutex.
-  template <typename T>
-  void append(std::vector<T>& into, std::vector<T>&& batch) {
-    const std::size_t room =
-        max_events > total ? max_events - total : 0;
-    const std::size_t take = std::min(room, batch.size());
-    const std::uint64_t bytes = take * sizeof(T);
-    memacct::charge(memacct::Category::kProvenanceBuffers, bytes);
-    held_bytes += bytes;
-    into.insert(into.end(), std::make_move_iterator(batch.begin()),
-                std::make_move_iterator(batch.begin() + take));
-    total += take;
-    dropped += batch.size() - take;
-  }
+  CappedEvents<PartitionDecision, EvictionEvent, UnmarkEvent,
+               OffloadRoundEvent, OffloadAnswerEvent, HeadroomStamp,
+               ReplicaDegreeEvent>
+      events;
 };
 
 AuditLog::Impl& AuditLog::impl() const {
@@ -156,127 +231,65 @@ AuditLog::Impl& AuditLog::impl() const {
 }
 
 void AuditLog::add_partitions(std::vector<PartitionDecision>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.partitions, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 void AuditLog::add_evictions(std::vector<EvictionEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.evictions, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 void AuditLog::add_unmarks(std::vector<UnmarkEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.unmarks, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 void AuditLog::add_offload_rounds(std::vector<OffloadRoundEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.offload_rounds, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 void AuditLog::add_offload_answers(std::vector<OffloadAnswerEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.offload_answers, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 void AuditLog::add_headroom(std::vector<HeadroomStamp>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.headroom, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 void AuditLog::add_replicas(std::vector<ReplicaDegreeEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.replicas, std::move(batch));
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.add(std::move(batch));
 }
 
 void AuditLog::clear() {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.partitions.clear();
-  s.evictions.clear();
-  s.unmarks.clear();
-  s.offload_rounds.clear();
-  s.offload_answers.clear();
-  s.headroom.clear();
-  s.replicas.clear();
-  s.total = 0;
-  s.dropped = 0;
-  memacct::release(memacct::Category::kProvenanceBuffers, s.held_bytes);
-  s.held_bytes = 0;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.clear();
 }
 
 std::size_t AuditLog::size() const {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.total;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  return impl().events.kept();
 }
 
 std::uint64_t AuditLog::dropped() const {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.dropped;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  return impl().events.all_dropped();
 }
 
 void AuditLog::set_max_events(std::size_t max_events) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.max_events = max_events;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().events.max_events = max_events;
 }
 
 AuditSnapshot AuditLog::snapshot() const {
   Impl& s = impl();
+  std::unique_lock<std::mutex> lock(s.mutex);
+  auto events = s.events;
+  lock.unlock();
+  events.trim();
   AuditSnapshot out;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    out.partitions = s.partitions;
-    out.evictions = s.evictions;
-    out.unmarks = s.unmarks;
-    out.offload_rounds = s.offload_rounds;
-    out.offload_answers = s.offload_answers;
-    out.headroom = s.headroom;
-    out.replicas = s.replicas;
-    out.dropped = s.dropped;
-  }
-  // Canonical order: producers record per-entity step sequences, so sorting
-  // by (run, policy, entity, step) fully determines the artifact bytes
-  // regardless of which worker thread appended first.
-  std::sort(out.partitions.begin(), out.partitions.end(),
-            [](const PartitionDecision& a, const PartitionDecision& b) {
-              return std::tie(a.run, a.policy, a.page, a.step) <
-                     std::tie(b.run, b.policy, b.page, b.step);
-            });
-  std::sort(out.evictions.begin(), out.evictions.end(),
-            [](const EvictionEvent& a, const EvictionEvent& b) {
-              return std::tie(a.run, a.policy, a.server, a.step) <
-                     std::tie(b.run, b.policy, b.server, b.step);
-            });
-  std::sort(out.unmarks.begin(), out.unmarks.end(),
-            [](const UnmarkEvent& a, const UnmarkEvent& b) {
-              return std::tie(a.run, a.policy, a.server, a.step) <
-                     std::tie(b.run, b.policy, b.server, b.step);
-            });
-  std::sort(out.offload_rounds.begin(), out.offload_rounds.end(),
-            [](const OffloadRoundEvent& a, const OffloadRoundEvent& b) {
-              return std::tie(a.run, a.policy, a.round) <
-                     std::tie(b.run, b.policy, b.round);
-            });
-  std::sort(out.offload_answers.begin(), out.offload_answers.end(),
-            [](const OffloadAnswerEvent& a, const OffloadAnswerEvent& b) {
-              return std::tie(a.run, a.policy, a.round, a.server) <
-                     std::tie(b.run, b.policy, b.round, b.server);
-            });
-  std::sort(out.headroom.begin(), out.headroom.end(),
-            [](const HeadroomStamp& a, const HeadroomStamp& b) {
-              return std::tie(a.run, a.policy, a.phase, a.server) <
-                     std::tie(b.run, b.policy, b.phase, b.server);
-            });
-  std::sort(out.replicas.begin(), out.replicas.end(),
-            [](const ReplicaDegreeEvent& a, const ReplicaDegreeEvent& b) {
-              return std::tie(a.run, a.policy, a.object) <
-                     std::tie(b.run, b.policy, b.object);
-            });
+  std::tie(out.partitions, out.evictions, out.unmarks, out.offload_rounds,
+           out.offload_answers, out.headroom, out.replicas) =
+      std::move(events.lists);
+  out.dropped = events.dropped;
   return out;
 }
 
@@ -300,10 +313,7 @@ const char* flight_mode_name(FlightMode mode) {
 
 struct FlightLog::Impl {
   mutable std::mutex mutex;
-  std::vector<FlightRecord> records;
-  std::uint64_t dropped = 0;
-  std::size_t max_records = 1'000'000;
-  std::uint64_t held_bytes = 0;  ///< memacct provenance.buffers charge
+  CappedEvents<FlightRecord> records;
 };
 
 FlightLog::Impl& FlightLog::impl() const {
@@ -312,60 +322,37 @@ FlightLog::Impl& FlightLog::impl() const {
 }
 
 void FlightLog::add(std::vector<FlightRecord>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  const std::size_t room = s.max_records > s.records.size()
-                               ? s.max_records - s.records.size()
-                               : 0;
-  const std::size_t take = std::min(room, batch.size());
-  const std::uint64_t bytes = take * sizeof(FlightRecord);
-  memacct::charge(memacct::Category::kProvenanceBuffers, bytes);
-  s.held_bytes += bytes;
-  s.records.insert(s.records.end(), std::make_move_iterator(batch.begin()),
-                   std::make_move_iterator(batch.begin() + take));
-  s.dropped += batch.size() - take;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().records.add(std::move(batch));
 }
 
 void FlightLog::clear() {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.records.clear();
-  s.dropped = 0;
-  memacct::release(memacct::Category::kProvenanceBuffers, s.held_bytes);
-  s.held_bytes = 0;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().records.clear();
 }
 
 std::size_t FlightLog::size() const {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.records.size();
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  return impl().records.kept();
 }
 
 std::uint64_t FlightLog::dropped() const {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.dropped;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  return impl().records.all_dropped();
 }
 
 void FlightLog::set_max_records(std::size_t max_records) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.max_records = max_records;
+  std::lock_guard<std::mutex> lock(impl().mutex);
+  impl().records.max_events = max_records;
 }
 
 std::vector<FlightRecord> FlightLog::snapshot() const {
   Impl& s = impl();
-  std::vector<FlightRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    out = s.records;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return std::tie(a.run, a.policy, a.mode, a.server, a.index) <
-                     std::tie(b.run, b.policy, b.mode, b.server, b.index);
-            });
-  return out;
+  std::unique_lock<std::mutex> lock(s.mutex);
+  auto records = s.records;
+  lock.unlock();
+  records.trim();
+  return std::get<0>(std::move(records.lists));
 }
 
 FlightLog& global_flight_log() {
@@ -389,7 +376,7 @@ void write_event_prefix(JsonWriter& w, const char* type, std::uint64_t run,
 
 void write_audit_jsonl(std::ostream& os, const AuditSnapshot& snapshot,
                        const RunMeta& meta) {
-  write_header(os, "mmr-audit", meta, {});
+  write_jsonl_header(os, "mmr-audit", meta);
   for (const PartitionDecision& e : snapshot.partitions) {
     JsonWriter w(os);
     w.begin_object();
@@ -499,21 +486,13 @@ void write_audit_jsonl(std::ostream& os, const AuditSnapshot& snapshot,
     w.end_object();
     os << '\n';
   }
-  write_summary(os, snapshot.total_events(), snapshot.dropped);
-}
-
-void write_audit_file(const std::string& path, const AuditLog& log,
-                      const RunMeta& meta) {
-  const AuditSnapshot snapshot = log.snapshot();
-  write_to_file(path, [&](std::ostream& os) {
-    write_audit_jsonl(os, snapshot, meta);
-  });
+  write_jsonl_summary(os, snapshot.total_events(), snapshot.dropped);
 }
 
 void write_flight_jsonl(std::ostream& os,
                         const std::vector<FlightRecord>& records,
                         std::uint64_t dropped, const RunMeta& meta) {
-  write_header(os, "mmr-flight", meta, [](JsonWriter& w) {
+  write_jsonl_header(os, "mmr-flight", meta, [](JsonWriter& w) {
     w.kv("sample_every", static_cast<std::uint64_t>(flight_sample_every()));
   });
   for (const FlightRecord& r : records) {
@@ -546,16 +525,7 @@ void write_flight_jsonl(std::ostream& os,
     w.end_object();
     os << '\n';
   }
-  write_summary(os, records.size(), dropped);
-}
-
-void write_flight_file(const std::string& path, const FlightLog& log,
-                       const RunMeta& meta) {
-  const std::vector<FlightRecord> records = log.snapshot();
-  const std::uint64_t dropped = log.dropped();
-  write_to_file(path, [&](std::ostream& os) {
-    write_flight_jsonl(os, records, dropped, meta);
-  });
+  write_jsonl_summary(os, records.size(), dropped);
 }
 
 // ---------------------------------------------------------------------------
@@ -563,57 +533,10 @@ void write_flight_file(const std::string& path, const FlightLog& log,
 
 ProvenanceDoc parse_provenance_jsonl(const std::string& text) {
   ProvenanceDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "provenance line " + std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "provenance header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-audit" || doc.schema == "mmr-flight",
-                    "unknown provenance schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "provenance line " + std::to_string(line_no) +
-                                     " lacks a 'type' field");
-    if (v.at("type").str_v == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate provenance summary line");
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "provenance event after the summary line");
-    doc.events.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "provenance document has no header line");
-  if (doc.has_summary) {
-    MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
-                  "provenance summary declares " +
-                      std::to_string(doc.declared_events) + " events but " +
-                      std::to_string(doc.events.size()) + " are present");
-  }
+  JsonlSchema schema;
+  schema.names = {"mmr-audit", "mmr-flight"};
+  parse_jsonl(text, schema, doc);
   return doc;
-}
-
-ProvenanceDoc read_provenance_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_provenance_jsonl(buffer.str());
 }
 
 }  // namespace mmr

@@ -217,9 +217,12 @@ struct AuditSnapshot {
 /// Thread-safe audit event sink. Producers append whole batches (one lock
 /// per batch); snapshot() sorts into canonical (run, policy, entity, step)
 /// order so the artifact bytes do not depend on thread scheduling. A size
-/// cap bounds memory on huge runs: batches beyond it are counted in
-/// dropped(), never silently lost. AuditLog is a handle onto the single
-/// process-wide store (like the trace Tracer) — every instance shares it.
+/// cap bounds memory on huge runs: the log keeps the first max_events
+/// events of the artifact in that canonical order, whatever order they
+/// arrived in, and counts the rest in dropped(), never silently lost. It
+/// holds at most twice the cap while recording. AuditLog is a handle onto
+/// the single process-wide store (like the trace Tracer) — every instance
+/// shares it.
 class AuditLog {
  public:
   void add_partitions(std::vector<PartitionDecision>&& batch);
@@ -234,8 +237,7 @@ class AuditLog {
   std::size_t size() const;
   std::uint64_t dropped() const;
 
-  /// Event cap (default 1'000'000). Setting it does not shed already-held
-  /// events.
+  /// Event cap (default 1'000'000); it also applies to events already held.
   void set_max_events(std::size_t max_events);
 
   AuditSnapshot snapshot() const;
@@ -324,31 +326,16 @@ FlightLog& global_flight_log();
 
 void write_audit_jsonl(std::ostream& os, const AuditSnapshot& snapshot,
                        const RunMeta& meta);
-void write_audit_file(const std::string& path, const AuditLog& log,
-                      const RunMeta& meta);
 
 void write_flight_jsonl(std::ostream& os,
                         const std::vector<FlightRecord>& records,
                         std::uint64_t dropped, const RunMeta& meta);
-void write_flight_file(const std::string& path, const FlightLog& log,
-                       const RunMeta& meta);
 
 /// Parsed JSONL provenance artifact (either schema).
-struct ProvenanceDoc {
-  std::string schema;   ///< "mmr-audit" or "mmr-flight"
-  int version = 0;
-  JsonValue header;     ///< the full header line (run_meta etc.)
-  std::vector<JsonValue> events;  ///< every line between header and summary
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
-};
+using ProvenanceDoc = JsonlDoc;
 
 /// Parses a JSONL provenance document; throws CheckError on malformed input
 /// or a summary whose event count disagrees with the lines present.
 ProvenanceDoc parse_provenance_jsonl(const std::string& text);
-
-/// Reads and parses a provenance artifact file.
-ProvenanceDoc read_provenance_file(const std::string& path);
 
 }  // namespace mmr

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <functional>
-#include <initializer_list>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -108,40 +104,13 @@ InvariantsReport audit_timeseries(const std::vector<TimeseriesShard>& groups,
 // ---------------------------------------------------------------------------
 // Writer.
 
-namespace {
-
-void write_inv_header(std::ostream& os, const InvariantTolerances& tol,
-                      const RunMeta& meta) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "mmr-invariants");
-  w.kv("version", std::int64_t{1});
-  w.kv("little_rel", tol.little_rel);
-  w.kv("busy_rel", tol.busy_rel);
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
-}
-
-}  // namespace
-
 void write_invariants_jsonl(std::ostream& os, const InvariantsReport& report,
                             const InvariantTolerances& tol,
                             const RunMeta& meta) {
-  write_inv_header(os, tol, meta);
+  write_jsonl_header(os, "mmr-invariants", meta, [&](JsonWriter& w) {
+    w.kv("little_rel", tol.little_rel);
+    w.kv("busy_rel", tol.busy_rel);
+  });
   for (const InvariantCheck& c : report.checks) {
     JsonWriter w(os);
     w.begin_object();
@@ -158,24 +127,11 @@ void write_invariants_jsonl(std::ostream& os, const InvariantsReport& report,
     w.end_object();
     os << '\n';
   }
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", static_cast<std::uint64_t>(report.checks.size()));
-  w.kv("dropped", std::uint64_t{0});
-  w.kv("violations", report.violations);
-  w.kv("ok", report.all_ok());
-  w.end_object();
-  os << '\n';
-}
-
-void write_invariants_file(const std::string& path, const TimeseriesLog& log,
-                           const RunMeta& meta,
-                           const InvariantTolerances& tol) {
-  const InvariantsReport report = audit_timeseries(log.snapshot(), tol);
-  write_to_file(path, [&](std::ostream& os) {
-    write_invariants_jsonl(os, report, tol, meta);
-  });
+  write_jsonl_summary(os, report.checks.size(), 0, "events",
+                      [&](JsonWriter& w) {
+                        w.kv("violations", report.violations);
+                        w.kv("ok", report.all_ok());
+                      });
 }
 
 // ---------------------------------------------------------------------------
@@ -183,89 +139,42 @@ void write_invariants_file(const std::string& path, const TimeseriesLog& log,
 
 InvariantsDoc parse_invariants_jsonl(const std::string& text) {
   InvariantsDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
   std::uint64_t failed = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "invariants line " +
-                                     std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "invariants header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-invariants",
-                    "unknown invariants schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "invariants line " +
-                                     std::to_string(line_no) +
-                                     " lacks a 'type' field");
+  JsonlSchema schema;
+  schema.names = {"mmr-invariants"};
+  schema.check_event = [&](const JsonValue& v, std::size_t line_no) {
     const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate invariants summary line");
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      doc.declared_violations =
-          static_cast<std::uint64_t>(v.at("violations").num_v);
-      doc.declared_ok = v.at("ok").bool_v;
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "invariants event after the summary line");
-    MMR_CHECK_MSG(type == "check", "unknown invariants event type '" + type +
-                                       "' on line " +
-                                       std::to_string(line_no));
-    const std::string where =
-        "invariants check line " + std::to_string(line_no);
-    for (const char* field : {"policy", "mode", "law", "expected",
-                              "observed", "error", "tolerance", "ok"}) {
-      MMR_CHECK_MSG(v.has(field),
-                    where + " lacks the '" + field + "' field");
-    }
-    const double expected = v.at("expected").num_v;
-    const double observed = v.at("observed").num_v;
-    const double err = std::abs(observed - expected) /
-                       std::max(1.0, std::abs(expected));
+    MMR_CHECK_MSG(type == "check", "unknown invariants event type '"
+                                       << type << "' on line " << line_no);
+    require_fields(v, "mmr-invariants", line_no,
+                   {"policy", "mode", "law", "expected", "observed", "error",
+                    "tolerance", "ok"});
+    const double err =
+        check_error(v.at("expected").num_v, v.at("observed").num_v);
     MMR_CHECK_MSG(v.at("error").num_v == err,
-                  where + " error disagrees with expected/observed");
+                  "mmr-invariants line "
+                      << line_no << " error disagrees with expected/observed");
     MMR_CHECK_MSG(v.at("ok").bool_v == (err <= v.at("tolerance").num_v),
-                  where + " verdict disagrees with its error/tolerance");
+                  "mmr-invariants line "
+                      << line_no
+                      << " verdict disagrees with its error/tolerance");
     if (!v.at("ok").bool_v) ++failed;
-    doc.checks.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "invariants document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "invariants document has no summary line");
-  MMR_CHECK_MSG(doc.declared_events == doc.checks.size(),
-                "invariants summary declares " +
-                    std::to_string(doc.declared_events) + " events but " +
-                    std::to_string(doc.checks.size()) + " are present");
+  };
+  parse_jsonl(text, schema, doc);
+  doc.declared_violations =
+      json_count(doc.summary.at("violations"), "violations");
+  doc.declared_ok = doc.summary.at("ok").bool_v;
   MMR_CHECK_MSG(doc.declared_violations == failed,
-                "invariants summary declares " +
-                    std::to_string(doc.declared_violations) +
-                    " violations but " + std::to_string(failed) +
-                    " check lines failed");
+                "invariants summary declares "
+                    << doc.declared_violations << " violations but "
+                    << failed << " check lines failed");
   MMR_CHECK_MSG(doc.declared_ok == (failed == 0),
                 "invariants summary verdict disagrees with its checks");
   return doc;
 }
 
 InvariantsDoc read_invariants_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_invariants_jsonl(buffer.str());
+  return parse_invariants_jsonl(read_artifact_text(path));
 }
 
 }  // namespace mmr

@@ -78,21 +78,8 @@ void write_invariants_jsonl(std::ostream& os, const InvariantsReport& report,
                             const InvariantTolerances& tol,
                             const RunMeta& meta);
 
-/// Snapshots the global timeseries log, audits it and writes the verdicts;
-/// creates/truncates `path`.
-void write_invariants_file(const std::string& path, const TimeseriesLog& log,
-                           const RunMeta& meta,
-                           const InvariantTolerances& tol = {});
-
-/// Parsed mmr-invariants document.
-struct InvariantsDoc {
-  std::string schema;
-  int version = 0;
-  JsonValue header;
-  std::vector<JsonValue> checks;  ///< the "check" lines, in file order
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
+/// Parsed mmr-invariants document; `events` holds the "check" lines.
+struct InvariantsDoc : JsonlDoc {
   std::uint64_t declared_violations = 0;
   bool declared_ok = true;
 };

@@ -1,9 +1,7 @@
 #include "obs/obs.h"
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <tuple>
 
 #include "util/memacct.h"
 #include "util/metrics.h"
@@ -80,86 +78,9 @@ std::size_t ObsShard::approx_bytes() const {
          windows.approx_bytes();
 }
 
-struct ObsLog::Impl {
-  mutable std::mutex mutex;
-  std::vector<ObsShard> shards;
-  std::uint64_t dropped = 0;
-  std::uint64_t held_bytes = 0;
-  std::size_t max_shards = 100000;
-};
-
-ObsLog::Impl& ObsLog::impl() const {
-  // Leaked on purpose: the global log must outlive static destructors.
-  static Impl* impl = new Impl();
-  return *impl;
-}
-
-void ObsLog::add(ObsShard&& shard) {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  if (i.shards.size() >= i.max_shards) {
-    ++i.dropped;
-    return;
-  }
-  const std::size_t bytes = shard.approx_bytes();
-  memacct::charge(memacct::Category::kObsSketches, bytes);
-  i.held_bytes += bytes;
-  i.shards.push_back(std::move(shard));
-}
-
-void ObsLog::clear() {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  memacct::release(memacct::Category::kObsSketches, i.held_bytes);
-  i.held_bytes = 0;
-  i.shards.clear();
-  i.dropped = 0;
-}
-
-std::size_t ObsLog::size() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  return i.shards.size();
-}
-
-std::uint64_t ObsLog::dropped() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  return i.dropped;
-}
-
-void ObsLog::set_max_shards(std::size_t max_shards) {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  i.max_shards = max_shards;
-}
-
-std::vector<ObsShard> ObsLog::snapshot() const {
-  Impl& i = impl();
-  std::vector<ObsShard> shards;
-  {
-    std::lock_guard<std::mutex> lock(i.mutex);
-    shards = i.shards;
-  }
-  std::stable_sort(shards.begin(), shards.end(),
-                   [](const ObsShard& a, const ObsShard& b) {
-                     return std::tie(a.policy, a.mode, a.run) <
-                            std::tie(b.policy, b.mode, b.run);
-                   });
-  std::vector<ObsShard> groups;
-  for (ObsShard& shard : shards) {
-    if (!groups.empty() && groups.back().policy == shard.policy &&
-        groups.back().mode == shard.mode) {
-      groups.back().merge(shard);
-    } else {
-      groups.push_back(std::move(shard));
-    }
-  }
-  return groups;
-}
-
 ObsLog& global_obs_log() {
-  static ObsLog* log = new ObsLog();
+  // Leaked on purpose: the global log must outlive static destructors.
+  static ObsLog* log = new ObsLog(memacct::Category::kObsSketches);
   return *log;
 }
 

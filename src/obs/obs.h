@@ -23,6 +23,7 @@
 #include "io/provenance.h"
 #include "model/entities.h"
 #include "obs/heavy_hitters.h"
+#include "obs/shard_log.h"
 #include "obs/sketch.h"
 #include "obs/window.h"
 
@@ -64,25 +65,9 @@ struct ObsShard {
   WindowedAggregator windows;
 };
 
-/// Thread-safe shard sink. Shards are appended by simulate calls (cheap:
-/// one move under the mutex per call) and merged at snapshot time.
-class ObsLog {
- public:
-  void add(ObsShard&& shard);
-  void clear();
-  std::size_t size() const;        ///< shards currently held
-  std::uint64_t dropped() const;   ///< shards rejected past the cap
-  void set_max_shards(std::size_t max_shards);
-
-  /// Shards sorted by (policy, mode, run) and merged per (policy, mode)
-  /// group — the canonical order that makes artifact bytes independent of
-  /// thread count. The returned shards' `run` is the group's smallest run.
-  std::vector<ObsShard> snapshot() const;
-
- private:
-  struct Impl;
-  Impl& impl() const;
-};
+/// Shard sink (obs/shard_log.h); held bytes are charged to memacct's
+/// obs.sketches category.
+using ObsLog = ShardLog<ObsShard>;
 
 ObsLog& global_obs_log();
 

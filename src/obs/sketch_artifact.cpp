@@ -1,40 +1,12 @@
 #include "obs/sketch_artifact.h"
 
-#include <fstream>
-#include <functional>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 
 namespace mmr {
 
 namespace {
-
-void write_header(std::ostream& os, const ObsConfig& config,
-                  const RunMeta& meta) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "mmr-sketch");
-  w.kv("version", std::int64_t{1});
-  w.kv("alpha", config.alpha);
-  w.kv("gamma", (1.0 + config.alpha) / (1.0 - config.alpha));
-  w.kv("max_buckets", std::uint64_t{config.max_buckets});
-  w.kv("hot_capacity", std::uint64_t{config.hot_capacity});
-  w.kv("window_s", config.window_s);
-  w.key("slo").begin_object();
-  w.kv("response_s", config.slo.response_s);
-  w.kv("stretch_x", config.slo.stretch_x);
-  w.kv("target", config.slo.target);
-  w.end_object();
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
 
 void write_group_prefix(JsonWriter& w, const char* type,
                         const ObsShard& group) {
@@ -130,21 +102,23 @@ std::uint64_t write_slo_line(std::ostream& os, const ObsShard& group,
   return 1;
 }
 
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
-}
-
 }  // namespace
 
 void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
                         const ObsConfig& config, std::uint64_t dropped,
                         const RunMeta& meta) {
-  write_header(os, config, meta);
+  write_jsonl_header(os, "mmr-sketch", meta, [&](JsonWriter& w) {
+    w.kv("alpha", config.alpha);
+    w.kv("gamma", (1.0 + config.alpha) / (1.0 - config.alpha));
+    w.kv("max_buckets", std::uint64_t{config.max_buckets});
+    w.kv("hot_capacity", std::uint64_t{config.hot_capacity});
+    w.kv("window_s", config.window_s);
+    w.key("slo").begin_object();
+    w.kv("response_s", config.slo.response_s);
+    w.kv("stretch_x", config.slo.stretch_x);
+    w.kv("target", config.slo.target);
+    w.end_object();
+  });
   std::uint64_t events = 0;
   for (const ObsShard& group : groups) {
     events += write_sketch_line(os, group, "response", group.response);
@@ -154,130 +128,65 @@ void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
     events += write_window_lines(os, group, report);
     events += write_slo_line(os, group, report);
   }
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", events);
-  w.kv("dropped", dropped);
-  w.end_object();
-  os << '\n';
-}
-
-void write_sketch_file(const std::string& path, const ObsLog& log,
-                       const RunMeta& meta) {
-  const std::vector<ObsShard> groups = log.snapshot();
-  const std::uint64_t dropped = log.dropped();
-  write_to_file(path, [&](std::ostream& os) {
-    write_sketch_jsonl(os, groups, obs_config(), dropped, meta);
-  });
-}
-
-std::vector<const JsonValue*> SketchDoc::of_type(
-    const std::string& type) const {
-  std::vector<const JsonValue*> out;
-  for (const JsonValue& e : events) {
-    if (e.at("type").str_v == type) out.push_back(&e);
-  }
-  return out;
+  write_jsonl_summary(os, events, dropped);
 }
 
 namespace {
 
 void check_sketch_event(const JsonValue& v, std::size_t line_no) {
-  const std::string where = "sketch line " + std::to_string(line_no);
-  for (const char* field :
-       {"policy", "mode", "metric", "count", "zero", "sum", "min", "max",
-        "buckets"}) {
-    MMR_CHECK_MSG(v.has(field),
-                  where + " lacks the '" + field + "' field");
-  }
-  const auto count = static_cast<std::uint64_t>(v.at("count").num_v);
-  std::uint64_t mass = static_cast<std::uint64_t>(v.at("zero").num_v);
+  require_fields(v, "mmr-sketch", line_no,
+                 {"policy", "mode", "metric", "count", "zero", "sum", "min",
+                  "max", "buckets"});
+  const std::uint64_t count = json_count(v.at("count"), "count");
+  std::uint64_t mass = json_count(v.at("zero"), "zero");
   for (const JsonValue& pair : v.at("buckets").arr) {
-    MMR_CHECK_MSG(pair.arr.size() == 2,
-                  where + " has a malformed bucket pair");
-    mass += static_cast<std::uint64_t>(pair.arr[1].num_v);
+    MMR_CHECK_MSG(pair.arr.size() == 2, "mmr-sketch line "
+                                            << line_no
+                                            << " has a malformed bucket pair");
+    mass += json_count(pair.arr[1], "bucket count");
   }
-  MMR_CHECK_MSG(mass == count,
-                where + " bucket counts sum to " + std::to_string(mass) +
-                    " but count is " + std::to_string(count));
+  MMR_CHECK_MSG(mass == count, "mmr-sketch line "
+                                   << line_no << " bucket counts sum to "
+                                   << mass << " but count is " << count);
 }
 
 void check_window_event(const JsonValue& v, std::size_t line_no) {
-  const std::string where = "window line " + std::to_string(line_no);
-  for (const char* field : {"index", "requests", "good", "attainment"}) {
-    MMR_CHECK_MSG(v.has(field),
-                  where + " lacks the '" + field + "' field");
-  }
+  require_fields(v, "mmr-sketch", line_no,
+                 {"index", "requests", "good", "attainment"});
   MMR_CHECK_MSG(v.at("good").num_v <= v.at("requests").num_v,
-                where + " reports more good requests than requests");
+                "mmr-sketch line "
+                    << line_no
+                    << " reports more good requests than requests");
 }
 
 }  // namespace
 
 SketchDoc parse_sketch_jsonl(const std::string& text) {
   SketchDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "sketch line " + std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "sketch header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-sketch",
-                    "unknown sketch schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      MMR_CHECK_MSG(v.has("alpha") && v.has("window_s") && v.has("slo"),
-                    "sketch header lacks the telemetry config");
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "sketch line " + std::to_string(line_no) +
-                                     " lacks a 'type' field");
+  JsonlSchema schema;
+  schema.names = {"mmr-sketch"};
+  schema.check_header = [](const JsonValue& h) {
+    MMR_CHECK_MSG(h.has("alpha") && h.has("window_s") && h.has("slo"),
+                  "sketch header lacks the telemetry config");
+  };
+  schema.check_event = [](const JsonValue& v, std::size_t line_no) {
     const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate sketch summary line");
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary, "sketch event after the summary line");
     if (type == "sketch") {
       check_sketch_event(v, line_no);
     } else if (type == "window") {
       check_window_event(v, line_no);
     } else {
       MMR_CHECK_MSG(type == "hot" || type == "slo",
-                    "unknown sketch event type '" + type + "' on line " +
-                        std::to_string(line_no));
+                    "unknown sketch event type '" << type << "' on line "
+                                                  << line_no);
     }
-    doc.events.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "sketch document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "sketch document has no summary line");
-  MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
-                "sketch summary declares " +
-                    std::to_string(doc.declared_events) + " events but " +
-                    std::to_string(doc.events.size()) + " are present");
+  };
+  parse_jsonl(text, schema, doc);
   return doc;
 }
 
 SketchDoc read_sketch_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_sketch_jsonl(buffer.str());
+  return parse_sketch_jsonl(read_artifact_text(path));
 }
 
 }  // namespace mmr

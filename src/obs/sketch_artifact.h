@@ -25,24 +25,8 @@ void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
                         const ObsConfig& config, std::uint64_t dropped,
                         const RunMeta& meta);
 
-/// Snapshots the global log and writes it; creates/truncates `path`.
-void write_sketch_file(const std::string& path, const ObsLog& log,
-                       const RunMeta& meta);
-
-/// Parsed mmr-sketch document. `events` holds every non-header,
-/// non-summary line as raw JSON.
-struct SketchDoc {
-  std::string schema;
-  int version = 0;
-  JsonValue header;
-  std::vector<JsonValue> events;
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
-
-  /// Events of one type, in file order.
-  std::vector<const JsonValue*> of_type(const std::string& type) const;
-};
+/// Parsed mmr-sketch document.
+using SketchDoc = JsonlDoc;
 
 /// Strict parse: checks the schema name, known event types, per-sketch
 /// bucket-count consistency (zero + sum of buckets == count), window

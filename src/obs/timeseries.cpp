@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <fstream>
-#include <functional>
-#include <initializer_list>
 #include <mutex>
 #include <ostream>
-#include <sstream>
-#include <tuple>
+#include <string>
 
 #include "util/check.h"
 #include "util/memacct.h"
@@ -205,86 +201,10 @@ std::size_t TimeseriesShard::approx_bytes() const {
   return bytes;
 }
 
-struct TimeseriesLog::Impl {
-  mutable std::mutex mutex;
-  std::vector<TimeseriesShard> shards;
-  std::uint64_t dropped = 0;
-  std::uint64_t held_bytes = 0;
-  std::size_t max_shards = 100000;
-};
-
-TimeseriesLog::Impl& TimeseriesLog::impl() const {
-  // Leaked on purpose: the global log must outlive static destructors.
-  static Impl* impl = new Impl();
-  return *impl;
-}
-
-void TimeseriesLog::add(TimeseriesShard&& shard) {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  if (i.shards.size() >= i.max_shards) {
-    ++i.dropped;
-    return;
-  }
-  const std::size_t bytes = shard.approx_bytes();
-  memacct::charge(memacct::Category::kObsTimeseries, bytes);
-  i.held_bytes += bytes;
-  i.shards.push_back(std::move(shard));
-}
-
-void TimeseriesLog::clear() {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  memacct::release(memacct::Category::kObsTimeseries, i.held_bytes);
-  i.held_bytes = 0;
-  i.shards.clear();
-  i.dropped = 0;
-}
-
-std::size_t TimeseriesLog::size() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  return i.shards.size();
-}
-
-std::uint64_t TimeseriesLog::dropped() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  return i.dropped;
-}
-
-void TimeseriesLog::set_max_shards(std::size_t max_shards) {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  i.max_shards = max_shards;
-}
-
-std::vector<TimeseriesShard> TimeseriesLog::snapshot() const {
-  Impl& i = impl();
-  std::vector<TimeseriesShard> shards;
-  {
-    std::lock_guard<std::mutex> lock(i.mutex);
-    shards = i.shards;
-  }
-  std::stable_sort(shards.begin(), shards.end(),
-                   [](const TimeseriesShard& a, const TimeseriesShard& b) {
-                     return std::tie(a.policy, a.mode, a.run) <
-                            std::tie(b.policy, b.mode, b.run);
-                   });
-  std::vector<TimeseriesShard> groups;
-  for (TimeseriesShard& shard : shards) {
-    if (!groups.empty() && groups.back().policy == shard.policy &&
-        groups.back().mode == shard.mode) {
-      groups.back().merge(shard);
-    } else {
-      groups.push_back(std::move(shard));
-    }
-  }
-  return groups;
-}
-
 TimeseriesLog& global_timeseries_log() {
-  static TimeseriesLog* log = new TimeseriesLog();
+  // Leaked on purpose: the global log must outlive static destructors.
+  static TimeseriesLog* log =
+      new TimeseriesLog(memacct::Category::kObsTimeseries);
   return *log;
 }
 
@@ -292,23 +212,6 @@ TimeseriesLog& global_timeseries_log() {
 // Writer.
 
 namespace {
-
-void write_ts_header(std::ostream& os, const TimeseriesConfig& config,
-                     const RunMeta& meta) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "mmr-timeseries");
-  w.kv("version", std::int64_t{1});
-  w.kv("window_s", config.window_s);
-  w.kv("max_windows", config.max_windows);
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
 
 void write_ts_prefix(JsonWriter& w, const char* type,
                      const TimeseriesShard& group) {
@@ -402,22 +305,16 @@ std::uint64_t write_window_lines(std::ostream& os,
   return s.cells().size();
 }
 
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
-}
-
 }  // namespace
 
 void write_timeseries_jsonl(std::ostream& os,
                             const std::vector<TimeseriesShard>& groups,
                             const TimeseriesConfig& config,
                             std::uint64_t dropped, const RunMeta& meta) {
-  write_ts_header(os, config, meta);
+  write_jsonl_header(os, "mmr-timeseries", meta, [&](JsonWriter& w) {
+    w.kv("window_s", config.window_s);
+    w.kv("max_windows", config.max_windows);
+  });
   std::uint64_t events = 0;
   for (const TimeseriesShard& group : groups) {
     events += write_series_line(os, group);
@@ -426,35 +323,11 @@ void write_timeseries_jsonl(std::ostream& os,
       events += write_window_lines(os, group, i);
     }
   }
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", events);
-  w.kv("dropped", dropped);
-  w.end_object();
-  os << '\n';
-}
-
-void write_timeseries_file(const std::string& path, const TimeseriesLog& log,
-                           const RunMeta& meta) {
-  const std::vector<TimeseriesShard> groups = log.snapshot();
-  const std::uint64_t dropped = log.dropped();
-  write_to_file(path, [&](std::ostream& os) {
-    write_timeseries_jsonl(os, groups, timeseries_config(), dropped, meta);
-  });
+  write_jsonl_summary(os, events, dropped);
 }
 
 // ---------------------------------------------------------------------------
 // Parser.
-
-std::vector<const JsonValue*> TimeseriesDoc::of_type(
-    const std::string& type) const {
-  std::vector<const JsonValue*> out;
-  for (const JsonValue& e : events) {
-    if (e.at("type").str_v == type) out.push_back(&e);
-  }
-  return out;
-}
 
 namespace {
 
@@ -481,93 +354,57 @@ struct StationTally {
   double last_window = 0;
 };
 
-void require_fields(const JsonValue& v, std::size_t line_no, const char* what,
-                    std::initializer_list<const char*> fields) {
-  for (const char* field : fields) {
-    MMR_CHECK_MSG(v.has(field), std::string(what) + " line " +
-                                    std::to_string(line_no) + " lacks the '" +
-                                    field + "' field");
-  }
-}
-
 void close_station(const StationTally& tally) {
   if (!tally.open) return;
-  const std::string where =
-      "timeseries station line " + std::to_string(tally.line_no);
   MMR_CHECK_MSG(static_cast<double>(tally.arrivals) ==
                     tally.declared_arrivals,
-                where + " declares " +
-                    std::to_string(tally.declared_arrivals) +
-                    " arrivals but its windows sum to " +
-                    std::to_string(tally.arrivals));
+                "mmr-timeseries line " << tally.line_no << " declares "
+                                       << tally.declared_arrivals
+                                       << " arrivals but its windows sum to "
+                                       << tally.arrivals);
   MMR_CHECK_MSG(static_cast<double>(tally.served) == tally.declared_served,
-                where + " served total disagrees with its windows");
+                "mmr-timeseries line "
+                    << tally.line_no
+                    << " served total disagrees with its windows");
   MMR_CHECK_MSG(static_cast<double>(tally.redirected) ==
                     tally.declared_redirected,
-                where + " redirected total disagrees with its windows");
+                "mmr-timeseries line "
+                    << tally.line_no
+                    << " redirected total disagrees with its windows");
   MMR_CHECK_MSG(static_cast<double>(tally.rejected) ==
                     tally.declared_rejected,
-                where + " rejected total disagrees with its windows");
+                "mmr-timeseries line "
+                    << tally.line_no
+                    << " rejected total disagrees with its windows");
   const double tol = 1e-6 * std::max(1.0, tally.declared_busy_s);
   MMR_CHECK_MSG(std::abs(tally.busy_s - tally.declared_busy_s) <= tol,
-                where + " busy_s disagrees with its windows");
+                "mmr-timeseries line "
+                    << tally.line_no << " busy_s disagrees with its windows");
 }
 
 }  // namespace
 
 TimeseriesDoc parse_timeseries_jsonl(const std::string& text) {
   TimeseriesDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
   StationTally tally;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "timeseries line " +
-                                     std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "timeseries header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-timeseries",
-                    "unknown timeseries schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      MMR_CHECK_MSG(v.has("window_s"),
-                    "timeseries header lacks the 'window_s' field");
-      doc.window_s = v.at("window_s").num_v;
-      MMR_CHECK_MSG(doc.window_s > 0, "timeseries window_s must be > 0");
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "timeseries line " +
-                                     std::to_string(line_no) +
-                                     " lacks a 'type' field");
+  JsonlSchema schema;
+  schema.names = {"mmr-timeseries"};
+  schema.check_header = [&](const JsonValue& h) {
+    MMR_CHECK_MSG(h.has("window_s"),
+                  "timeseries header lacks the 'window_s' field");
+    doc.window_s = h.at("window_s").num_v;
+    MMR_CHECK_MSG(doc.window_s > 0, "timeseries window_s must be > 0");
+  };
+  schema.check_event = [&](const JsonValue& v, std::size_t line_no) {
     const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate timeseries summary line");
-      close_station(tally);
-      tally.open = false;
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "timeseries event after the summary line");
     if (type == "series") {
-      require_fields(v, line_no, "timeseries series",
+      require_fields(v, "mmr-timeseries", line_no,
                      {"policy", "mode", "runs", "stations", "horizon_s",
                       "arrivals", "completions", "rejects", "redirects"});
       close_station(tally);
       tally.open = false;
     } else if (type == "station") {
-      require_fields(v, line_no, "timeseries station",
+      require_fields(v, "mmr-timeseries", line_no,
                      {"policy", "mode", "station", "window_s", "arrivals",
                       "served", "redirected", "rejected", "admitted",
                       "busy_s", "time_in_station_s", "occupancy_area_s",
@@ -583,9 +420,10 @@ TimeseriesDoc parse_timeseries_jsonl(const std::string& text) {
       double base = doc.window_s;
       while (base < tally.window_s) base *= 2;
       MMR_CHECK_MSG(base == tally.window_s,
-                    "timeseries station line " + std::to_string(line_no) +
-                        " width is not a power-of-two multiple of the "
-                        "header window_s");
+                    "mmr-timeseries line "
+                        << line_no
+                        << " width is not a power-of-two multiple of the "
+                           "header window_s");
       tally.policy = v.at("policy").str_v;
       tally.mode = v.at("mode").str_v;
       tally.declared_arrivals = v.at("arrivals").num_v;
@@ -594,55 +432,51 @@ TimeseriesDoc parse_timeseries_jsonl(const std::string& text) {
       tally.declared_rejected = v.at("rejected").num_v;
       tally.declared_busy_s = v.at("busy_s").num_v;
     } else if (type == "window") {
-      require_fields(v, line_no, "timeseries window",
+      require_fields(v, "mmr-timeseries", line_no,
                      {"policy", "mode", "station", "window", "t_start_s",
                       "arrivals", "served", "redirected", "rejected",
                       "depth_max", "depth_mean", "inflight_max", "busy_s",
                       "util"});
-      const std::string where =
-          "timeseries window line " + std::to_string(line_no);
       MMR_CHECK_MSG(tally.open && v.at("station").num_v == tally.station &&
                         v.at("policy").str_v == tally.policy &&
                         v.at("mode").str_v == tally.mode,
-                    where + " does not follow its station line");
+                    "mmr-timeseries line " << line_no
+                                           << " does not follow its station "
+                                              "line");
       const double win = v.at("window").num_v;
       MMR_CHECK_MSG(!tally.have_window || win > tally.last_window,
-                    where + " is out of window order");
+                    "mmr-timeseries line " << line_no
+                                           << " is out of window order");
       tally.have_window = true;
       tally.last_window = win;
       MMR_CHECK_MSG(v.at("t_start_s").num_v == win * tally.window_s,
-                    where + " t_start_s disagrees with its window index");
+                    "mmr-timeseries line "
+                        << line_no
+                        << " t_start_s disagrees with its window index");
       MMR_CHECK_MSG(v.at("depth_mean").num_v <= v.at("depth_max").num_v,
-                    where + " depth_mean exceeds depth_max");
+                    "mmr-timeseries line " << line_no
+                                           << " depth_mean exceeds depth_max");
       MMR_CHECK_MSG(v.at("busy_s").num_v >= 0 && v.at("util").num_v >= 0,
-                    where + " has a negative busy/util value");
-      tally.arrivals += static_cast<std::uint64_t>(v.at("arrivals").num_v);
-      tally.served += static_cast<std::uint64_t>(v.at("served").num_v);
-      tally.redirected +=
-          static_cast<std::uint64_t>(v.at("redirected").num_v);
-      tally.rejected += static_cast<std::uint64_t>(v.at("rejected").num_v);
+                    "mmr-timeseries line "
+                        << line_no << " has a negative busy/util value");
+      tally.arrivals += json_count(v.at("arrivals"), "arrivals");
+      tally.served += json_count(v.at("served"), "served");
+      tally.redirected += json_count(v.at("redirected"), "redirected");
+      tally.rejected += json_count(v.at("rejected"), "rejected");
       tally.busy_s += v.at("busy_s").num_v;
     } else {
-      MMR_CHECK_MSG(false, "unknown timeseries event type '" + type +
-                               "' on line " + std::to_string(line_no));
+      MMR_CHECK_MSG(false, "unknown timeseries event type '"
+                               << type << "' on line " << line_no);
     }
-    doc.events.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "timeseries document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "timeseries document has no summary line");
-  MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
-                "timeseries summary declares " +
-                    std::to_string(doc.declared_events) + " events but " +
-                    std::to_string(doc.events.size()) + " are present");
+  };
+  parse_jsonl(text, schema, doc);
+  // No event follows the summary, so the last station closes here.
+  close_station(tally);
   return doc;
 }
 
 TimeseriesDoc read_timeseries_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_timeseries_jsonl(buffer.str());
+  return parse_timeseries_jsonl(read_artifact_text(path));
 }
 
 }  // namespace mmr

@@ -32,6 +32,7 @@
 
 #include "io/artifacts.h"
 #include "io/provenance.h"
+#include "obs/shard_log.h"
 #include "util/json.h"
 
 namespace mmr {
@@ -410,25 +411,9 @@ struct TimeseriesShard {
   std::vector<StationSeries> stations;
 };
 
-/// Thread-safe shard sink; same add/snapshot contract as ObsLog. Held bytes
-/// are charged to memacct's obs.timeseries category.
-class TimeseriesLog {
- public:
-  void add(TimeseriesShard&& shard);
-  void clear();
-  std::size_t size() const;
-  std::uint64_t dropped() const;
-  void set_max_shards(std::size_t max_shards);
-
-  /// Shards sorted by (policy, mode, run) and merged per (policy, mode)
-  /// group — the canonical order that makes artifact bytes independent of
-  /// thread count. The returned shards' `run` is the group's smallest run.
-  std::vector<TimeseriesShard> snapshot() const;
-
- private:
-  struct Impl;
-  Impl& impl() const;
-};
+/// Shard sink (obs/shard_log.h); held bytes are charged to memacct's
+/// obs.timeseries category.
+using TimeseriesLog = ShardLog<TimeseriesShard>;
 
 TimeseriesLog& global_timeseries_log();
 
@@ -440,24 +425,9 @@ void write_timeseries_jsonl(std::ostream& os,
                             const TimeseriesConfig& config,
                             std::uint64_t dropped, const RunMeta& meta);
 
-/// Snapshots the global log and writes it; creates/truncates `path`.
-void write_timeseries_file(const std::string& path, const TimeseriesLog& log,
-                           const RunMeta& meta);
-
-/// Parsed mmr-timeseries document. `events` holds every non-header,
-/// non-summary line as raw JSON.
-struct TimeseriesDoc {
-  std::string schema;
-  int version = 0;
-  double window_s = 0;
-  JsonValue header;
-  std::vector<JsonValue> events;
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
-
-  /// Events of one type, in file order.
-  std::vector<const JsonValue*> of_type(const std::string& type) const;
+/// Parsed mmr-timeseries document.
+struct TimeseriesDoc : JsonlDoc {
+  double window_s = 0;  ///< the header's base window width
 };
 
 /// Strict parse: checks the schema name, known event types, per-station

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -219,9 +220,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type = JsonValue::Type::kString;
@@ -403,15 +409,27 @@ class Parser {
     if (!digits) fail("expected a value");
     JsonValue v;
     v.type = JsonValue::Type::kNumber;
-    v.num_v = std::stod(text_.substr(start, pos_ - start));
+    // strtod stops at the first byte that is not part of the number, which
+    // is where the scan above stopped too.
+    v.num_v = std::strtod(text_.c_str() + start, nullptr);
+    if (!std::isfinite(v.num_v)) fail("number out of range");
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers currently open
 };
 
 }  // namespace
+
+std::uint64_t json_count(const JsonValue& v, const char* what) {
+  MMR_CHECK_MSG(v.type == JsonValue::Type::kNumber && v.num_v >= 0 &&
+                    v.num_v <= 9007199254740992.0 &&
+                    v.num_v == std::floor(v.num_v),
+                "'" << what << "' must be an integer in [0, 2^53]");
+  return static_cast<std::uint64_t>(v.num_v);
+}
 
 JsonValue json_parse(const std::string& text) {
   return Parser(text).parse_document();

@@ -81,8 +81,18 @@ struct JsonValue {
   const JsonValue& at(std::size_t i) const;
 };
 
+/// Deepest container nesting json_parse accepts. The repo's writers nest at
+/// most 4 levels; the bound keeps hostile input from exhausting the stack.
+inline constexpr std::size_t kJsonMaxDepth = 256;
+
 /// Parses a complete JSON document; trailing non-whitespace is an error.
-/// Throws CheckError with an offset on malformed input.
+/// Throws CheckError with an offset on malformed input, on a number outside
+/// the double range and on nesting deeper than kJsonMaxDepth.
 JsonValue json_parse(const std::string& text);
+
+/// `v` as a count. Throws CheckError unless it is a number holding an
+/// integer in [0, 2^53], the range a double represents exactly; `what`
+/// names the field in the message.
+std::uint64_t json_count(const JsonValue& v, const char* what);
 
 }  // namespace mmr

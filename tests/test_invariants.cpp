@@ -143,8 +143,8 @@ TEST_F(InvariantsTest, AuditFlagsCorruptedTotals) {
   // A fabricated backwards-time count trips monotone_time.
   groups[0].repository().occupancy_area_s /= 1.5;
   groups[0].stations[1].time_violations = 3;
-  const InvariantCheck* m =
-      find_check(audit_timeseries(groups), "monotone_time", 1);
+  const InvariantsReport backwards = audit_timeseries(groups);
+  const InvariantCheck* m = find_check(backwards, "monotone_time", 1);
   ASSERT_NE(m, nullptr);
   EXPECT_FALSE(m->ok);
 }
@@ -165,7 +165,7 @@ TEST_F(InvariantsTest, ArtifactRoundTrip) {
   const InvariantsDoc doc = parse_invariants_jsonl(os.str());
   EXPECT_EQ(doc.schema, "mmr-invariants");
   EXPECT_EQ(doc.version, 1);
-  EXPECT_EQ(doc.checks.size(), report.checks.size());
+  EXPECT_EQ(doc.events.size(), report.checks.size());
   EXPECT_EQ(doc.declared_events, report.checks.size());
   EXPECT_EQ(doc.declared_violations, 0u);
   EXPECT_TRUE(doc.declared_ok);
@@ -203,6 +203,13 @@ TEST_F(InvariantsTest, ViolationsSurviveTheRoundTrip) {
   ASSERT_NE(cut, std::string::npos);
   EXPECT_THROW(parse_invariants_jsonl(text.substr(0, cut)), CheckError);
   EXPECT_THROW(parse_invariants_jsonl(""), CheckError);
+  // Envelope rules: version 1 only, non-negative integer counts.
+  EXPECT_THROW(parse_invariants_jsonl(
+                   replace_once(text, "\"version\":1", "\"version\":1.5")),
+               CheckError);
+  EXPECT_THROW(parse_invariants_jsonl(replace_once(
+                   text, "\"violations\":1", "\"violations\":-1")),
+               CheckError);
 }
 
 TEST_F(InvariantsTest, ReadMissingFileThrows) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/artifact_outputs.h"
 #include "obs/heavy_hitters.h"
 #include "obs/sketch.h"
 #include "obs/sketch_artifact.h"
@@ -14,6 +15,7 @@
 #include "sim/runner.h"
 #include "test_helpers.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -448,6 +450,19 @@ TEST_F(ObsTest, ParserRejectsCorruptDocs) {
                                "{\"type\":\"mystery\"}\n" +
                                good.substr(first_nl + 1);
   EXPECT_THROW(parse_sketch_jsonl(injected), CheckError);
+  // Envelope rules: version 1 only, non-negative integer counts.
+  auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+  };
+  EXPECT_THROW(parse_sketch_jsonl(replaced("\"version\":1", "\"version\":2")),
+               CheckError);
+  EXPECT_THROW(parse_sketch_jsonl(replaced("\"dropped\":0", "\"dropped\":-1")),
+               CheckError);
+  EXPECT_THROW(parse_sketch_jsonl(replaced("\"zero\":0", "\"zero\":-1")),
+               CheckError);
 }
 
 // ---------------------------------------------------------------------------
@@ -486,6 +501,46 @@ TEST_F(ObsTest, ArtifactBytesIdenticalAcrossThreadCounts) {
   // And the artifact parses strictly.
   const SketchDoc doc = parse_sketch_jsonl(serial);
   EXPECT_FALSE(doc.of_type("sketch").empty());
+}
+
+// ---------------------------------------------------------------------------
+// Artifact-flag binder.
+
+Flags parse_flags(std::vector<const char*> args) {
+  args.insert(args.begin(), "bench");
+  return Flags::parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST_F(ObsTest, BinderRejectsOutOfRangeFlags) {
+  for (const char* bad :
+       {"--flight-sample=-1", "--flight-sample=4294967296",
+        "--timeline-interval-ms=-1", "--timeline-interval-ms=4294967296",
+        "--ts-max-windows=-5", "--mem-budget=-1"}) {
+    ArtifactOutputs outputs;
+    EXPECT_THROW(outputs.bind(parse_flags({bad, "--sketch-out=unused"})),
+                 CheckError)
+        << bad;
+    EXPECT_FALSE(obs_enabled()) << bad << " enabled a recorder";
+  }
+  ArtifactOutputs outputs;
+  EXPECT_NO_THROW(outputs.bind(parse_flags({"--flight-sample=4294967295"})));
+  EXPECT_FALSE(outputs.any());
+}
+
+TEST_F(ObsTest, BinderEnablesAndStampsTheRequestedRecorders) {
+  ArtifactOutputs outputs;
+  outputs.bind(parse_flags({"--sketch-out=unused", "--window=30",
+                            "--slo=2.5,2.0,0.95"}));
+  EXPECT_TRUE(outputs.any());
+  EXPECT_TRUE(obs_enabled());
+  EXPECT_EQ(obs_config().window_s, 30.0);
+  EXPECT_EQ(obs_config().slo.response_s, 2.5);
+  RunMeta meta;
+  outputs.stamp(meta);
+  ASSERT_EQ(meta.fields.size(), 2u);
+  EXPECT_EQ(meta.fields[0].first, "sketch_alpha");
+  EXPECT_EQ(meta.fields[1].first, "sketch_window_s");
+  EXPECT_EQ(meta.fields[1].second, "30");
 }
 
 TEST_F(ObsTest, DisabledCostsNothing) {

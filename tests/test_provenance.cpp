@@ -175,6 +175,36 @@ TEST_F(ProvenanceTest, ParserRejectsMalformedDocuments) {
                    "{\"type\":\"summary\",\"events\":0,\"dropped\":0}\n"
                    "{\"type\":\"request\"}\n"),
                CheckError);
+  // A version other than 1, and a document with no summary line.
+  EXPECT_THROW(parse_provenance_jsonl(
+                   "{\"schema\":\"mmr-audit\",\"version\":7}\n"
+                   "{\"type\":\"partition\"}\n"),
+               CheckError);
+  EXPECT_THROW(parse_provenance_jsonl(
+                   "{\"schema\":\"mmr-audit\",\"version\":7}\n"
+                   "{\"type\":\"partition\"}\n"
+                   "{\"type\":\"summary\",\"events\":1,\"dropped\":0}\n"),
+               CheckError);
+  EXPECT_THROW(parse_provenance_jsonl(
+                   "{\"schema\":\"mmr-audit\",\"version\":1}\n"
+                   "{\"type\":\"partition\"}\n"),
+               CheckError);
+  // Summary counts must be integers in [0, 2^53].
+  for (const char* count : {"-1", "1e300", "0.5", "\"0\""}) {
+    EXPECT_THROW(parse_provenance_jsonl(
+                     std::string("{\"schema\":\"mmr-flight\",\"version\":1}\n"
+                                 "{\"type\":\"summary\",\"events\":0,"
+                                 "\"dropped\":") +
+                     count + "}\n"),
+                 CheckError)
+        << count;
+    EXPECT_THROW(parse_provenance_jsonl(
+                     std::string("{\"schema\":\"mmr-flight\",\"version\":1}\n"
+                                 "{\"type\":\"summary\",\"events\":") +
+                     count + ",\"dropped\":0}\n"),
+                 CheckError)
+        << count;
+  }
 }
 
 TEST_F(ProvenanceTest, CapCountsDroppedInsteadOfSilentLoss) {
@@ -195,6 +225,48 @@ TEST_F(ProvenanceTest, CapCountsDroppedInsteadOfSilentLoss) {
   write_flight_jsonl(os, global_flight_log().snapshot(),
                      global_flight_log().dropped(), RunMeta{});
   EXPECT_EQ(parse_provenance_jsonl(os.str()).declared_dropped, 2u);
+}
+
+// The cap keeps the first events of the artifact in canonical order, so
+// the artifact does not depend on which worker's batch arrived first.
+TEST_F(ProvenanceTest, CapKeepsTheCanonicalPrefixInAnyArrivalOrder) {
+  auto render = [](const std::vector<std::uint64_t>& runs) {
+    global_audit_log().clear();
+    global_audit_log().set_max_events(3);
+    for (const std::uint64_t run : runs) {
+      std::vector<PartitionDecision> partition(1);
+      partition[0].run = run;
+      global_audit_log().add_partitions(std::move(partition));
+      std::vector<EvictionEvent> eviction(1);
+      eviction[0].run = run;
+      global_audit_log().add_evictions(std::move(eviction));
+    }
+    EXPECT_EQ(global_audit_log().size(), 3u);
+    EXPECT_EQ(global_audit_log().dropped(), 2 * runs.size() - 3);
+    std::ostringstream os;
+    write_audit_jsonl(os, global_audit_log().snapshot(), RunMeta{});
+    return os.str();
+  };
+  const std::string sorted = render({1, 2, 3, 4, 5, 6, 7, 8});
+  EXPECT_EQ(render({8, 3, 6, 1, 7, 2, 5, 4}), sorted);
+  EXPECT_EQ(render({5, 8, 7, 6, 4, 3, 2, 1}), sorted);
+  const AuditSnapshot snap = global_audit_log().snapshot();
+  ASSERT_EQ(snap.partitions.size(), 3u);
+  EXPECT_EQ(snap.partitions[2].run, 3u);
+  EXPECT_TRUE(snap.evictions.empty());
+  EXPECT_EQ(snap.dropped, 13u);
+
+  global_flight_log().set_max_records(2);
+  for (const std::uint32_t index : {9u, 4u, 7u, 1u, 8u}) {
+    std::vector<FlightRecord> record(1);
+    record[0].index = index;
+    global_flight_log().add(std::move(record));
+  }
+  const std::vector<FlightRecord> kept = global_flight_log().snapshot();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].index, 1u);
+  EXPECT_EQ(kept[1].index, 4u);
+  EXPECT_EQ(global_flight_log().dropped(), 3u);
 }
 
 TEST_F(ProvenanceTest, PolicyRunRecordsAuditTrail) {

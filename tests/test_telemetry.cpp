@@ -216,10 +216,10 @@ TEST(Telemetry, TimelineSamplerRoundTripsThroughArtifact) {
   EXPECT_EQ(doc.interval_ms, options.interval_ms);
   EXPECT_EQ(doc.counters_available, snap.counters_available);
   EXPECT_TRUE(doc.has_summary);
-  EXPECT_EQ(doc.samples.size(), snap.samples.size());
-  EXPECT_EQ(doc.declared_samples, snap.samples.size());
+  EXPECT_EQ(doc.events.size(), snap.samples.size());
+  EXPECT_EQ(doc.declared_events, snap.samples.size());
   // Every sample line carries the full category stanza and a phase.
-  for (const JsonValue& s : doc.samples) {
+  for (const JsonValue& s : doc.events) {
     ASSERT_TRUE(s.has("mem"));
     EXPECT_EQ(s.at("mem").obj.size(), memacct::kCategoryCount);
     ASSERT_TRUE(s.has("phase"));
@@ -244,6 +244,17 @@ TEST(Telemetry, ParserRejectsTamperedDocuments) {
   ASSERT_NE(cut, std::string::npos);
   EXPECT_THROW(parse_timeline_jsonl(good.substr(0, cut)), CheckError);
   EXPECT_THROW(parse_timeline_jsonl("{\"schema\":\"mmr-audit\",\"version\":1}"),
+               CheckError);
+  // Envelope rules: version 1 only, non-negative integer counts.
+  const std::size_t version = good.find("\"version\":1");
+  ASSERT_NE(version, std::string::npos);
+  std::string bad = good;
+  EXPECT_THROW(parse_timeline_jsonl(bad.replace(version, 11, "\"version\":2")),
+               CheckError);
+  const std::size_t samples = good.rfind("\"samples\":");
+  ASSERT_NE(samples, std::string::npos);
+  bad = good;
+  EXPECT_THROW(parse_timeline_jsonl(bad.insert(samples + 10, "-")),
                CheckError);
 }
 

@@ -386,6 +386,17 @@ TEST_F(TimeseriesTest, ParserRejectsTamperedDocuments) {
   EXPECT_THROW(parse_timeseries_jsonl(orphan), CheckError);
   // Empty input.
   EXPECT_THROW(parse_timeseries_jsonl(""), CheckError);
+  // Envelope rules: version 1 only, non-negative integer counts.
+  EXPECT_THROW(parse_timeseries_jsonl(
+                   replace_once(text, "\"version\":1", "\"version\":0")),
+               CheckError);
+  EXPECT_THROW(parse_timeseries_jsonl(replace_once(
+                   text, "\"type\":\"summary\",\"events\":6",
+                   "\"type\":\"summary\",\"events\":6e300")),
+               CheckError);
+  EXPECT_THROW(parse_timeseries_jsonl(replace_once(
+                   text, "\"dropped\":0", "\"dropped\":-1")),
+               CheckError);
 }
 
 TEST_F(TimeseriesTest, ConfigRejectsNonPositiveWindow) {
