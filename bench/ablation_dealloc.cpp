@@ -10,7 +10,7 @@
 #include "bench_common.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("storage", "storage fraction to stress (default 0.4)");
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 10));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 10));
     const double storage = flags.get_double("storage", 0.4);
 
     std::cout << "Ablation A2: storage-restoration criterion at " << storage * 100
@@ -76,4 +76,6 @@ int main(int argc, char** argv) {
                  "cascade contribute;\ndropping either degrades the placement "
                  "under tight storage.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

@@ -9,7 +9,7 @@
 #include "bench_common.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 8));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 8));
 
     std::cout << "Ablation A6: decentralized pipeline vs centralized greedy "
                  "allocation (" << cfg.runs << " workloads per point)\n\n";
@@ -67,4 +67,6 @@ int main(int argc, char** argv) {
                  "(or beat it — the greedy has no min-max pipeline balancing), "
                  "while needing no\ncentral statistics collection.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

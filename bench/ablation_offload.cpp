@@ -7,7 +7,7 @@
 #include "bench_common.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("central", "repo capacity fraction of the unconstrained "
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 8));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 8));
     const double central = flags.get_double("central", 0.5);
 
     std::cout << "Ablation A4: off-loading protocol at " << central * 100
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
                  "objective cost, and the swap phase helps when plain\n"
                  "absorption runs out of storage headroom.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

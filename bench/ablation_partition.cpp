@@ -11,7 +11,7 @@
 #include "bench_common.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("resolution", "DP grid in bytes (default 1024)");
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 10));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 10));
     const auto resolution =
         static_cast<std::uint64_t>(flags.get_int("resolution", 1024));
 
@@ -93,4 +93,6 @@ int main(int argc, char** argv) {
                  "of a percent of the\nexact min-max split at a tiny fraction "
                  "of its cost — supporting the paper's choice.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

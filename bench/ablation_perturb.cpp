@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("storage", "storage fraction (default 0.6)");
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 8));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 8));
     if (!flags.has("requests") && !flags.has("quick")) {
       cfg.sim.requests_per_server = 4000;
     }
@@ -55,4 +55,6 @@ int main(int argc, char** argv) {
                  "conditions drift\nfurther from the estimates used at "
                  "allocation time (the paper's robustness claim).\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

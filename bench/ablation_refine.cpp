@@ -12,7 +12,7 @@
 #include "core/local_search.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 8));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 8));
 
     std::cout << "Ablation A7: local-search refinement on top of the pipeline ("
               << cfg.runs << " workloads per point)\n\n";
@@ -63,4 +63,6 @@ int main(int argc, char** argv) {
                  "nearer the paper's\nconstructive pipeline already is to a "
                  "single-flip local optimum.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

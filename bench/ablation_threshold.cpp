@@ -13,7 +13,7 @@
 #include "core/policy.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("storage", "storage fraction (default 0.6)");
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
                  "knob — the paper's\nargument for a static, workload-aware "
                  "placement over threshold-driven dynamics.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

@@ -10,7 +10,7 @@
 #include "bench_common.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("storage", "storage fraction to stress (default 0.3)");
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg = bench::config_from_flags(flags);
   return bench::run_measured([&] {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 8));
+    cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 8));
     const double storage = flags.get_double("storage", 0.3);
 
     const std::pair<double, double> weight_sets[] = {
@@ -73,4 +73,6 @@ int main(int argc, char** argv) {
                  "optional-object time;\nthe paper's (2,1) sits on the "
                  "page-favouring side, matching its stated intent.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

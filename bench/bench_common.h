@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <streambuf>
 #include <string>
@@ -38,11 +39,26 @@
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/log.h"
+#include "util/memacct.h"
 #include "util/metrics.h"
 #include "util/table.h"
 #include "util/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace mmr::bench {
+
+/// Prints an exception that escaped a harness main and returns its exit
+/// code: kMemBudgetExitCode (3) for a blown --mem-budget, 1 for anything
+/// else (a bad flag value, an invalid configuration). Every harness main is
+/// a function-try-block ending in
+///   catch (const std::exception& e) { return bench::exit_code_for(e); }
+/// so a bad input is an error message, never an abort.
+inline int exit_code_for(const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return dynamic_cast<const memacct::MemBudgetError*>(&e) != nullptr
+             ? memacct::kMemBudgetExitCode
+             : 1;
+}
 
 namespace detail {
 
@@ -121,15 +137,20 @@ inline void init_artifacts(const Flags& flags, const ExperimentConfig& cfg) {
   MMR_CHECK_MSG(!state.initialized,
                 "bench::init_artifacts called twice (config_from_flags may "
                 "only run once per process)");
+  // Every flag is checked before anything is marked initialized or
+  // registered: a bad value throws and leaves no atexit writer behind.
+  const auto reps = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, flags.get_count("reps", 1)));
+  const auto warmup =
+      static_cast<std::uint32_t>(flags.get_count("warmup", 0));
+  const bool obs = flags.get_bool("obs", false);
+  state.outputs.bind(flags);
   state.initialized = true;
   state.bench_path = flags.get_string("bench-out", "");
-  state.reps =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(1, flags.get_int("reps", 1)));
-  state.warmup =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("warmup", 0)));
-  state.outputs.bind(flags);
+  state.reps = reps;
+  state.warmup = warmup;
   // --obs turns streaming telemetry on without the artifact.
-  if (flags.get_bool("obs", false)) set_obs_enabled(true);
+  if (obs) set_obs_enabled(true);
   if (state.bench_path.empty() && !state.outputs.any()) return;
   state.start = std::chrono::steady_clock::now();
   std::string tool = flags.program_name();
@@ -147,18 +168,18 @@ inline void init_artifacts(const Flags& flags, const ExperimentConfig& cfg) {
   std::atexit(detail::write_artifacts_at_exit);
 }
 
+/// Reads the shared flags. A bad value throws CheckError here, before any
+/// pool is built or artifact writer registered.
 inline ExperimentConfig config_from_flags(const Flags& flags) {
   ExperimentConfig cfg;
-  cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 20));
-  cfg.sim.requests_per_server =
-      static_cast<std::uint32_t>(flags.get_int("requests", 10000));
+  const bool quick = flags.get_bool("quick", false);
+  cfg.runs =
+      static_cast<std::uint32_t>(flags.get_count("runs", quick ? 5 : 20));
+  cfg.sim.requests_per_server = static_cast<std::uint32_t>(
+      flags.get_count("requests", quick ? 2000 : 10000));
   cfg.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  cfg.threads = static_cast<std::uint32_t>(flags.get_int("threads", 0));
-  if (flags.get_bool("quick", false)) {
-    cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 5));
-    cfg.sim.requests_per_server =
-        static_cast<std::uint32_t>(flags.get_int("requests", 2000));
-  }
+  cfg.threads = static_cast<std::uint32_t>(
+      flags.get_count("threads", 0, ThreadPool::kMaxThreads));
   // Non-convergence is reported in the result tables ("[N unrestored]");
   // keep per-run warnings out of the bench output unless asked for.
   set_log_level(flags.get_bool("verbose", false) ? LogLevel::kInfo
@@ -172,7 +193,8 @@ inline Flags standard_flags(int argc, const char* const* argv) {
   flags.describe("runs", "seeded repetitions per point (default 20)")
       .describe("requests", "page requests per server (default 10000)")
       .describe("seed", "base seed (default 42)")
-      .describe("threads", "worker threads, 0 = hardware (default 0)")
+      .describe("threads",
+                "worker threads, 0 = hardware, at most 1024 (default 0)")
       .describe("quick", "fast mode: runs=5, requests=2000")
       .describe("verbose", "enable info logging")
       .describe("bench-out",

@@ -16,6 +16,7 @@
 // is 0 when every component ran and its artifact parsed, 1 otherwise.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,7 +53,7 @@ std::string shell_quote(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = Flags::parse(argc, argv);
   flags.describe("out", "merged artifact path (default BENCH_suite.json)")
@@ -68,8 +69,8 @@ int main(int argc, char** argv) {
   }
   const std::string out_path = flags.get_string("out", "BENCH_suite.json");
   const std::string workdir = flags.get_string("workdir", ".");
-  const std::int64_t reps = flags.get_int("reps", 3);
-  const std::int64_t warmup = flags.get_int("warmup", 0);
+  const std::uint64_t reps = flags.get_count("reps", 3);
+  const std::uint64_t warmup = flags.get_count("warmup", 0);
   const bool keep_parts = flags.get_bool("keep-parts", false);
   const bool verbose = flags.get_bool("verbose", false);
 
@@ -142,4 +143,7 @@ int main(int argc, char** argv) {
             << (sizeof kComponents / sizeof kComponents[0])
             << " components)\n";
   return ok ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -27,7 +27,7 @@
 #include "util/thread_pool.h"
 #include "workload/scale.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("tier", "scale tier to simulate (default small)")
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   DesParams params;
   params.requests_per_server =
-      static_cast<std::uint32_t>(flags.get_int("requests", 20000));
+      static_cast<std::uint32_t>(flags.get_count("requests", 20000));
   params.arrival_rate_scale = flags.get_double("arrival-rate", 1.0);
   params.shards = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, flags.get_int("shards", 0)));
@@ -101,4 +101,6 @@ int main(int argc, char** argv) {
     t.add_row({"rejected", std::to_string(m.rejects)});
     t.print(std::cout, "DES throughput (" + std::string(tier_name) + ")");
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

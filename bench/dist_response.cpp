@@ -11,7 +11,7 @@
 #include "core/policy.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("storage", "storage fraction (default 0.6)");
@@ -78,4 +78,6 @@ int main(int argc, char** argv) {
                  "across the slow repository link, and LRU's misses\nshow up "
                  "as a heavy shoulder.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

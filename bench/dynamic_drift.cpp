@@ -10,7 +10,7 @@
 #include "dynamic/drift.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("epochs", "drift epochs (default 8)")
@@ -76,4 +76,6 @@ int main(int argc, char** argv) {
                  "prescribes for off-peak hours) recovers the gap and\nstays "
                  "ahead of the adaptive LRU baseline.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

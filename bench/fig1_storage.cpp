@@ -11,7 +11,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -61,4 +61,6 @@ int main(int argc, char** argv) {
                  "gap is widest at 100%\nwhere LRU degenerates to the Local "
                  "policy; ours at ~65% matches LRU at 100%.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

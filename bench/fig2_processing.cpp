@@ -11,7 +11,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -54,4 +54,6 @@ int main(int argc, char** argv) {
                  "~60% capacity (the heavy objects still fit), then\nrises "
                  "ever faster — the paper's double-exponential.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -54,4 +54,6 @@ int main(int argc, char** argv) {
                  "local capacity to 50-60% hurts sharply even at\n90% central "
                  "capacity — local capacity dominates.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

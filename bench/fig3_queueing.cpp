@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
                  "gradient still dominates, reinforcing the\npaper's "
                  "conclusion under a harsher service model.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

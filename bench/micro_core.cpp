@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks for the optimization core: PARTITION
-// throughput, exact-DP cost, delta evaluation, constraint restoration and
-// objective evaluation at paper scale. Accepts --bench-out/--reps/--quick on
-// top of the usual --benchmark_* flags (bench/micro_common.h).
+// throughput, exact-DP cost, delta evaluation, constraint restoration,
+// objective evaluation and instance construction (pool sampling, finalize)
+// at paper scale. Accepts --bench-out/--reps/--quick on top of the usual
+// --benchmark_* flags (bench/micro_common.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "micro_common.h"
@@ -19,7 +21,9 @@
 #include "io/provenance.h"
 #include "model/cost.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "workload/generator.h"
+#include "workload/scale.h"
 
 namespace mmr {
 namespace {
@@ -331,6 +335,51 @@ void BM_AuditConstraints(benchmark::State& state) {
   state.SetLabel("from-scratch Eq.8/9/10 audit");
 }
 BENCHMARK(BM_AuditConstraints)->Unit(benchmark::kMillisecond);
+
+// A site's object pool as the generator draws it: Floyd's k-of-n sample,
+// here at the medium tier's universe size and a large site's pool.
+void BM_SampleWithoutReplacement(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto k = static_cast<std::uint32_t>(state.range(1));
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.sample_without_replacement(n, k));
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_SampleWithoutReplacement)->Args({600000, 3000});
+
+/// An unfinalized copy of `sys`: the same servers, objects and pages.
+SystemModel unfinalized_copy(const SystemModel& sys) {
+  SystemModel out;
+  for (const Server& s : sys.servers()) out.add_server(s);
+  for (const MediaObject& o : sys.objects()) out.add_object(o);
+  for (const Page& p : sys.pages()) out.add_page(p);
+  out.set_repository(sys.repository());
+  return out;
+}
+
+// finalize() alone — validation, ranks, the reference CSR and the slot
+// caches — on the Table-1 instance (arg 0) and a medium-tier one (arg 1).
+// Items are references, so items/s reads as references finalized per second.
+void BM_Finalize(benchmark::State& state) {
+  const WorkloadParams params =
+      state.range(0) == 0 ? WorkloadParams{} : scale_params(ScaleTier::kMedium);
+  const SystemModel source = generate_workload(params, 42);
+  std::optional<SystemModel> fresh;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fresh.reset();  // the previous copy is freed outside the timed region
+    fresh.emplace(unfinalized_copy(source));
+    state.ResumeTiming();
+    fresh->finalize();
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(source.total_comp_slots() +
+                                source.total_opt_slots()));
+}
+BENCHMARK(BM_Finalize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mmr

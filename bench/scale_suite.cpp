@@ -34,7 +34,7 @@
 #include "util/thread_pool.h"
 #include "workload/scale.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   flags.describe("tiers",
@@ -129,4 +129,6 @@ int main(int argc, char** argv) {
                  "high-water mark, so each row includes every tier\nthat ran "
                  "before it.\n";
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

@@ -8,7 +8,7 @@
 #include "workload/generator.h"
 #include "workload/stats.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = bench::standard_flags(argc, argv);
   if (flags.help_requested()) {
@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 5));
+  const auto runs = static_cast<std::uint32_t>(flags.get_count("runs", 5));
 
   // No simulation here, but artifact flags should still work; wire them to
   // this harness' own defaults instead of going through config_from_flags.
@@ -87,4 +87,6 @@ int main(int argc, char** argv) {
         .add_cell(format_bytes(footprint.ci95_halfwidth()));
     across.print(std::cout, "stability across seeds");
   });
+} catch (const std::exception& e) {
+  return mmr::bench::exit_code_for(e);
 }

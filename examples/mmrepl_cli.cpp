@@ -101,8 +101,8 @@ int cmd_solve(const Flags& flags) {
   options.offload_enabled = !flags.get_bool("no-offload", false);
   options.weights.alpha1 = flags.get_double("alpha1", 2.0);
   options.weights.alpha2 = flags.get_double("alpha2", 1.0);
-  const auto threads =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, flags.get_int("threads", 1)));
+  const std::uint64_t threads =
+      flags.get_count("threads", 1, ThreadPool::kMaxThreads);
   options.shards = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, flags.get_int("shards", 0)));
   std::unique_ptr<ThreadPool> pool;
@@ -144,8 +144,8 @@ int cmd_audit(const Flags& flags) {
 int cmd_simulate_des(const Flags& flags, const SystemModel& sys,
                      const Assignment& asg) {
   DesParams params;
-  params.requests_per_server =
-      static_cast<std::uint32_t>(flags.get_int("requests", 10000));
+  params.requests_per_server = static_cast<std::uint32_t>(
+      flags.get_count("requests", 10000));
   params.arrival_rate_scale = flags.get_double("arrival-rate", 1.0);
   params.server_concurrency =
       static_cast<std::uint32_t>(flags.get_int("concurrency", 8));
@@ -159,8 +159,8 @@ int cmd_simulate_des(const Flags& flags, const SystemModel& sys,
       parse_overflow_policy(flags.get_string("overflow", "redirect"));
   params.shards = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, flags.get_int("shards", 0)));
-  const auto threads = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("threads", 1)));
+  const std::uint64_t threads = std::max<std::uint64_t>(
+      1, flags.get_count("threads", 1, ThreadPool::kMaxThreads));
   std::unique_ptr<ThreadPool> pool;
   if (threads != 1) {
     pool = std::make_unique<ThreadPool>(threads);
@@ -211,8 +211,8 @@ int cmd_simulate(const Flags& flags) {
   const Assignment asg = load_assignment_file(sys, asg_path);
   if (flags.get_bool("des", false)) return cmd_simulate_des(flags, sys, asg);
   SimParams params;
-  params.requests_per_server =
-      static_cast<std::uint32_t>(flags.get_int("requests", 10000));
+  params.requests_per_server = static_cast<std::uint32_t>(
+      flags.get_count("requests", 10000));
   // Quantiles come from the streaming sketch instead of a per-request
   // sample vector: bounded memory at any request count, values within the
   // sketch's relative-error bound of the exact sample quantiles.

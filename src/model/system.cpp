@@ -1,7 +1,7 @@
 #include "model/system.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 #include "util/check.h"
 #include "util/metrics.h"
@@ -48,7 +48,11 @@ void SystemModel::finalize() {
   full_replication_bytes_.assign(servers_.size(), 0);
   page_request_rate_.assign(servers_.size(), 0.0);
 
-  std::vector<std::unordered_set<ObjectId>> distinct(servers_.size());
+  // stamp[k] == t marks object k as seen under tag t: page j + 1 while page
+  // j's references are checked for duplicates, then server i + 1 while
+  // server i's distinct objects are collected. Flat arrays instead of one
+  // hash set per page and per server keep finalize() linear in references.
+  std::vector<std::uint32_t> stamp(objects_.size(), 0);
 
   for (std::size_t j = 0; j < pages_.size(); ++j) {
     const Page& p = pages_[j];
@@ -65,43 +69,30 @@ void SystemModel::finalize() {
     html_bytes_on_server_[p.host] += p.html_bytes;
     page_request_rate_[p.host] += p.frequency;
 
-    std::unordered_set<ObjectId> seen_in_page;
-    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-      const ObjectId k = p.compulsory[idx];
+    const auto tag = static_cast<std::uint32_t>(j + 1);
+    for (const ObjectId k : p.compulsory) {
       MMR_CHECK_MSG(k < objects_.size(),
                     "page " << j << " references invalid object " << k);
-      MMR_CHECK_MSG(seen_in_page.insert(k).second,
+      MMR_CHECK_MSG(stamp[k] != tag,
                     "page " << j << " references object " << k << " twice");
-      distinct[p.host].insert(k);
+      stamp[k] = tag;
     }
-    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-      const OptionalRef& ref = p.optional[idx];
+    for (const OptionalRef& ref : p.optional) {
       MMR_CHECK_MSG(ref.object < objects_.size(),
                     "page " << j << " references invalid object "
                             << ref.object);
       MMR_CHECK_MSG(ref.probability > 0 && ref.probability <= 1,
                     "page " << j << " optional probability out of (0,1]: "
                             << ref.probability);
-      MMR_CHECK_MSG(seen_in_page.insert(ref.object).second,
+      MMR_CHECK_MSG(stamp[ref.object] != tag,
                     "page " << j << " references object " << ref.object
                             << " both compulsorily and optionally");
-      distinct[p.host].insert(ref.object);
+      stamp[ref.object] = tag;
     }
   }
 
   for (std::size_t k = 0; k < objects_.size(); ++k) {
     MMR_CHECK_MSG(objects_[k].bytes > 0, "object " << k << " has zero size");
-  }
-
-  rank_base_.assign(servers_.size() + 1, 0);
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    auto& list = objects_referenced_[i];
-    list.assign(distinct[i].begin(), distinct[i].end());
-    std::sort(list.begin(), list.end());
-    std::uint64_t bytes = html_bytes_on_server_[i];
-    for (ObjectId k : list) bytes += objects_[k].bytes;
-    full_replication_bytes_[i] = bytes;
-    rank_base_[i + 1] = rank_base_[i] + list.size();
   }
 
   comp_offset_.assign(pages_.size() + 1, 0);
@@ -113,66 +104,85 @@ void SystemModel::finalize() {
         opt_offset_[j] + static_cast<std::uint32_t>(pages_[j].optional.size());
   }
 
-  // Per-slot object ranks (binary search once here; O(1) in every solver
-  // inner loop after) and the flat reference CSR. Refs land grouped by
-  // (server, object rank), and within a rank in page order with compulsory
-  // before optional — the same order the algorithms previously observed.
+  // One server at a time: its distinct objects in ascending id order (the
+  // ranks), every slot's rank and the server's block of the reference CSR.
+  // rank_of is a flat object -> value map, valid for the current server
+  // only: it counts each object's references while they are collected, then
+  // holds its rank (O(1) in every solver inner loop after). Refs land
+  // grouped by (server, object rank), and within a rank in page order with
+  // compulsory before optional, so algorithms iterate them deterministically.
+  std::fill(stamp.begin(), stamp.end(), 0);
+  std::vector<std::uint32_t> rank_of(objects_.size());
+  std::vector<ObjectId> distinct;
+  std::vector<std::uint64_t> cursor;  // per rank: next free CSR position
+  rank_base_.assign(servers_.size() + 1, 0);
+  ref_offset_.assign(1, 0);
+  refs_flat_.resize(std::uint64_t{comp_offset_.back()} + opt_offset_.back());
   comp_rank_.resize(comp_offset_.back());
   opt_rank_.resize(opt_offset_.back());
-  std::vector<std::uint64_t> ref_count(rank_base_.back(), 0);
-  auto rank_of = [this](ServerId host, ObjectId k) {
-    const auto& list = objects_referenced_[host];
-    const auto it = std::lower_bound(list.begin(), list.end(), k);
-    MMR_DCHECK(it != list.end() && *it == k);
-    return static_cast<std::uint32_t>(it - list.begin());
-  };
-  for (std::size_t j = 0; j < pages_.size(); ++j) {
-    const Page& p = pages_[j];
-    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-      const std::uint32_t r = rank_of(p.host, p.compulsory[idx]);
-      comp_rank_[comp_offset_[j] + idx] = r;
-      ++ref_count[rank_base_[p.host] + r];
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    const auto tag = static_cast<std::uint32_t>(i + 1);
+    const std::vector<PageId>& hosted = pages_on_server_[i];
+    distinct.clear();
+    auto collect = [&](ObjectId k) {
+      if (stamp[k] != tag) {
+        stamp[k] = tag;
+        rank_of[k] = 0;
+        distinct.push_back(k);
+      }
+      ++rank_of[k];
+    };
+    for (const PageId j : hosted) {
+      for (const ObjectId k : pages_[j].compulsory) collect(k);
+      for (const OptionalRef& ref : pages_[j].optional) collect(ref.object);
     }
-    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-      const std::uint32_t r = rank_of(p.host, p.optional[idx].object);
-      opt_rank_[opt_offset_[j] + idx] = r;
-      ++ref_count[rank_base_[p.host] + r];
-    }
-  }
-  ref_offset_.assign(rank_base_.back() + 1, 0);
-  for (std::size_t r = 0; r < ref_count.size(); ++r) {
-    ref_offset_[r + 1] = ref_offset_[r] + ref_count[r];
-  }
-  refs_flat_.resize(ref_offset_.back());
-  std::vector<std::uint64_t> cursor(ref_offset_.begin(), ref_offset_.end() - 1);
-  for (std::size_t j = 0; j < pages_.size(); ++j) {
-    const Page& p = pages_[j];
-    const auto page_id = static_cast<PageId>(j);
-    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-      const std::uint64_t r =
-          rank_base_[p.host] + comp_rank_[comp_offset_[j] + idx];
-      refs_flat_[cursor[r]++] = {page_id, true, idx};
-    }
-    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-      const std::uint64_t r =
-          rank_base_[p.host] + opt_rank_[opt_offset_[j] + idx];
-      refs_flat_[cursor[r]++] = {page_id, false, idx};
-    }
-  }
+    std::sort(distinct.begin(), distinct.end());
+    objects_referenced_[i].assign(distinct.begin(), distinct.end());
 
+    std::uint64_t bytes = html_bytes_on_server_[i];
+    cursor.resize(distinct.size());
+    for (std::uint32_t r = 0; r < distinct.size(); ++r) {
+      const ObjectId k = distinct[r];
+      cursor[r] = ref_offset_.back();
+      ref_offset_.push_back(cursor[r] + rank_of[k]);
+      rank_of[k] = r;
+      bytes += objects_[k].bytes;
+    }
+    full_replication_bytes_[i] = bytes;
+    rank_base_[i + 1] = rank_base_[i] + distinct.size();
+
+    for (const PageId j : hosted) {
+      const Page& p = pages_[j];
+      for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+        const std::uint32_t r = rank_of[p.compulsory[idx]];
+        comp_rank_[comp_offset_[j] + idx] = r;
+        refs_flat_[cursor[r]++] = {j, true, idx};
+      }
+      for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+        const std::uint32_t r = rank_of[p.optional[idx].object];
+        opt_rank_[opt_offset_[j] + idx] = r;
+        refs_flat_[cursor[r]++] = {j, false, idx};
+      }
+    }
+  }
+  ref_offset_.shrink_to_fit();  // the model is long-lived; drop the slack
+
+  // The PARTITION visit order: decreasing size, ties by slot index. That is
+  // a total order, so sorting (size, slot) pairs gathered once per page is
+  // exact and keeps the object-table loads out of the comparisons.
   comp_order_.resize(comp_offset_.back());
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
   for (std::size_t j = 0; j < pages_.size(); ++j) {
     const Page& p = pages_[j];
-    std::uint32_t* order = comp_order_.data() + comp_offset_[j];
+    keyed.clear();
     for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-      order[idx] = idx;
+      keyed.emplace_back(objects_[p.compulsory[idx]].bytes, idx);
     }
-    std::sort(order, order + p.compulsory.size(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint64_t sa = objects_[p.compulsory[a]].bytes;
-                const std::uint64_t sb = objects_[p.compulsory[b]].bytes;
-                return sa != sb ? sa > sb : a < b;
-              });
+    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    std::uint32_t* order = comp_order_.data() + comp_offset_[j];
+    for (std::uint32_t x = 0; x < keyed.size(); ++x) order[x] = keyed[x].second;
   }
   build_network_caches();
 

@@ -21,17 +21,6 @@ namespace mmr {
 
 namespace {
 
-/// An integer flag that must lie in [0, max].
-std::uint64_t count_flag(const Flags& flags, const char* name,
-                         std::int64_t fallback, std::uint64_t max) {
-  const std::int64_t v = flags.get_int(name, fallback);
-  MMR_CHECK_MSG(v >= 0 && static_cast<std::uint64_t>(v) <= max,
-                "flag --" << name << " must be in [0, " << max << "], got "
-                          << v);
-  return static_cast<std::uint64_t>(v);
-}
-
-constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
@@ -83,14 +72,13 @@ void ArtifactOutputs::bind(const Flags& flags) {
   invariants_ = flags.get_string("invariants-out", "");
   // Check every count before any recorder changes state.
   const std::uint64_t flight_sample =
-      count_flag(flags, "flight-sample", 100, kMaxU32);
+      flags.get_count("flight-sample", 100);
   const std::uint64_t interval_ms =
-      count_flag(flags, "timeline-interval-ms", 100, kMaxU32);
+      flags.get_count("timeline-interval-ms", 100);
   TimeseriesConfig tscfg = timeseries_config();
   tscfg.max_windows =
-      count_flag(flags, "ts-max-windows",
-                 static_cast<std::int64_t>(tscfg.max_windows), kMaxI64);
-  mem_budget_ = count_flag(flags, "mem-budget", 0, kMaxI64);
+      flags.get_count("ts-max-windows", tscfg.max_windows, kMaxI64);
+  mem_budget_ = flags.get_count("mem-budget", 0, kMaxI64);
 
   set_progress_enabled(flags.get_bool("progress", false));
   if (mem_budget_ > 0) memacct::set_budget_bytes(mem_budget_);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "io/provenance.h"
@@ -86,28 +87,6 @@ std::uint32_t optional_request_count(const Page& p, double fraction) {
   return std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(std::lround(
              fraction * static_cast<double>(p.optional.size()))));
-}
-
-/// Floyd's k-of-n sample into reusable storage (allocation-free once warm);
-/// draw-for-draw identical to Rng::sample_without_replacement.
-void sample_into(Rng& rng, std::uint32_t n, std::uint32_t k,
-                 std::vector<std::uint32_t>* out) {
-  out->clear();
-  if (k >= n) {
-    for (std::uint32_t v = 0; v < n; ++v) out->push_back(v);
-    return;
-  }
-  for (std::uint32_t r = n - k; r < n; ++r) {
-    const auto v = static_cast<std::uint32_t>(rng.bounded(r + 1));
-    bool seen = false;
-    for (std::uint32_t x : *out) {
-      if (x == v) {
-        seen = true;
-        break;
-      }
-    }
-    out->push_back(seen ? r : v);
-  }
 }
 
 /// Scratch reused across every server of one shard, so the per-server loop
@@ -394,8 +373,16 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
       if (ser != nullptr) ser->on_served(now);
       const std::uint32_t n_req =
           optional_request_count(p, params_.optional_request_fraction);
-      sample_into(opt_rng, static_cast<std::uint32_t>(p.optional.size()),
-                  n_req, &scratch.picks);
+      const auto n_opt = static_cast<std::uint32_t>(p.optional.size());
+      if (n_req >= n_opt) {
+        // Every link is followed: take them in slot order without a draw.
+        // Rng::sample_into would draw n values and shift every later draw
+        // of this stream.
+        scratch.picks.resize(n_opt);
+        std::iota(scratch.picks.begin(), scratch.picks.end(), 0u);
+      } else {
+        opt_rng.sample_into(n_opt, n_req, &scratch.picks);
+      }
       for (std::uint32_t oi : scratch.picks) {
         if (asg.opt_local(j, oi)) {
           if (ser != nullptr) ser->on_arrival(now);

@@ -317,6 +317,7 @@ SimMetrics Simulator::simulate(const Assignment& asg,
                                            sys.repository().proc_capacity,
                                            params_.overload_exponent);
 
+  std::vector<std::uint32_t> picks;  // optional links followed, reused
   for (ServerId i = 0; i < sys.num_servers(); ++i) {
     Rng rng = master.split(0x51D0 + i);
     const Server& server = sys.server(i);
@@ -352,8 +353,8 @@ SimMetrics Simulator::simulate(const Assignment& asg,
         const std::uint32_t n_req = optional_request_count(
             p, params_.optional_request_fraction);
         optional_requested = n_req;
-        const auto picks = rng.sample_without_replacement(
-            static_cast<std::uint32_t>(p.optional.size()), n_req);
+        rng.sample_into(static_cast<std::uint32_t>(p.optional.size()), n_req,
+                        &picks);
         for (std::uint32_t idx : picks) {
           // Each optional download opens a fresh connection (fresh draw).
           const NetworkSample onet = perturb(server, params_.perturb, rng);
@@ -445,6 +446,7 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
   TelemetryPhaseScope phase_scope("simulate_lru");
   MMR_TRACE_SPAN("simulate_lru");
   EventQueue<OptionalFetch> fetches;
+  std::vector<std::uint32_t> picks;  // optional links followed, reused
 
   for (ServerId i = 0; i < sys.num_servers(); ++i) {
     const Server& server = sys.server(i);
@@ -529,8 +531,8 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
           const std::uint32_t n_req = optional_request_count(
               p, params_.optional_request_fraction);
           optional_requested = n_req;
-          const auto picks = rng.sample_without_replacement(
-              static_cast<std::uint32_t>(p.optional.size()), n_req);
+          rng.sample_into(static_cast<std::uint32_t>(p.optional.size()),
+                          n_req, &picks);
           for (std::uint32_t idx : picks) {
             fetches.push(now + response, {j, idx});
           }
@@ -595,6 +597,7 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
   TelemetryPhaseScope phase_scope("simulate_threshold");
   MMR_TRACE_SPAN("simulate_threshold");
   EventQueue<OptionalFetch> fetches;
+  std::vector<std::uint32_t> picks;  // optional links followed, reused
 
   for (ServerId i = 0; i < sys.num_servers(); ++i) {
     const Server& server = sys.server(i);
@@ -655,8 +658,8 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
         const std::uint32_t n_req = optional_request_count(
             p, params_.optional_request_fraction);
         optional_requested = n_req;
-        const auto picks = rng.sample_without_replacement(
-            static_cast<std::uint32_t>(p.optional.size()), n_req);
+        rng.sample_into(static_cast<std::uint32_t>(p.optional.size()), n_req,
+                        &picks);
         for (std::uint32_t idx : picks) {
           fetches.push(now + response, {j, idx});
         }

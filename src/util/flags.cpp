@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -71,19 +73,36 @@ std::int64_t Flags::get_int(const std::string& name,
   const auto v = raw(name);
   if (!v) return default_value;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  MMR_CHECK_MSG(end && *end == '\0',
-                "flag --" << name << " is not an integer: " << *v);
+  MMR_CHECK_MSG(!v->empty() && end && *end == '\0',
+                "flag --" << name << " is not an integer: '" << *v << "'");
+  MMR_CHECK_MSG(errno != ERANGE,
+                "flag --" << name << " is out of range: " << *v);
   return parsed;
+}
+
+std::uint64_t Flags::get_count(const std::string& name,
+                               std::uint64_t default_value,
+                               std::uint64_t max) const {
+  if (!has(name)) return default_value;
+  const std::int64_t v = get_int(name, 0);
+  MMR_CHECK_MSG(v >= 0 && static_cast<std::uint64_t>(v) <= max,
+                "flag --" << name << " must be in [0, " << max << "], got "
+                          << v);
+  return static_cast<std::uint64_t>(v);
 }
 
 double Flags::get_double(const std::string& name, double default_value) const {
   const auto v = raw(name);
   if (!v) return default_value;
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(v->c_str(), &end);
-  MMR_CHECK_MSG(end && *end == '\0',
-                "flag --" << name << " is not a number: " << *v);
+  MMR_CHECK_MSG(!v->empty() && end && *end == '\0',
+                "flag --" << name << " is not a number: '" << *v << "'");
+  MMR_CHECK_MSG(!(errno == ERANGE && std::isinf(parsed)),
+                "flag --" << name << " is out of range: " << *v);
   return parsed;
 }
 

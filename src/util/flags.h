@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -28,8 +29,17 @@ class Flags {
   /// Every occurrence of a repeated flag, in command-line order (the typed
   /// getters above see only the last one). Empty when the flag is absent.
   std::vector<std::string> get_string_list(const std::string& name) const;
+  /// A decimal integer. Throws CheckError on an empty value, trailing
+  /// characters or a value outside the int64 range.
   std::int64_t get_int(const std::string& name,
                        std::int64_t default_value) const;
+  /// get_int for a count or size that must lie in [0, max]; anything else
+  /// (negative, too large, not an integer) throws CheckError naming the
+  /// flag, before the caller can cast or allocate with it. The default max
+  /// fits the 32-bit counts most flags fill.
+  std::uint64_t get_count(
+      const std::string& name, std::uint64_t default_value,
+      std::uint64_t max = std::numeric_limits<std::uint32_t>::max()) const;
   double get_double(const std::string& name, double default_value) const;
   bool get_bool(const std::string& name, bool default_value) const;
 

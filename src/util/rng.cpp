@@ -1,8 +1,6 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace mmr {
 
@@ -34,20 +32,33 @@ std::size_t Rng::discrete(const std::vector<double>& weights) {
 
 std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
                                                            std::uint32_t k) {
-  MMR_CHECK_MSG(k <= n, "cannot sample " << k << " distinct from " << n);
-  // Floyd's algorithm: O(k) expected insertions.
   std::vector<std::uint32_t> result;
-  result.reserve(k);
+  sample_into(n, k, &result);
+  return result;
+}
+
+void Rng::sample_into(std::uint32_t n, std::uint32_t k,
+                      std::vector<std::uint32_t>* out) {
+  MMR_CHECK_MSG(k <= n, "cannot sample " << k << " distinct from " << n);
+  // Floyd's algorithm. Its output depends only on the answers to "was t
+  // drawn already?", so any exact membership test yields the same sample; a
+  // bitmap over [0, n) answers in O(1). Only the drawn bits are cleared
+  // afterwards, so a call costs O(k) however large n is.
+  thread_local std::vector<std::uint64_t> drawn;
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  if (drawn.size() < words) drawn.resize(words, 0);
+  out->clear();
+  out->reserve(k);
   for (std::uint32_t j = n - k; j < n; ++j) {
     const auto t =
         static_cast<std::uint32_t>(bounded(static_cast<std::uint64_t>(j) + 1));
-    if (std::find(result.begin(), result.end(), t) == result.end()) {
-      result.push_back(t);
-    } else {
-      result.push_back(j);
-    }
+    const std::uint32_t v = (drawn[t >> 6] >> (t & 63)) & 1 ? j : t;
+    drawn[v >> 6] |= std::uint64_t{1} << (v & 63);
+    out->push_back(v);
   }
-  return result;
+  for (const std::uint32_t v : *out) {
+    drawn[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+  }
 }
 
 AliasTable::AliasTable(const std::vector<double>& weights) {

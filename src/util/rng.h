@@ -121,6 +121,12 @@ class Rng {
   std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n,
                                                         std::uint32_t k);
 
+  /// sample_without_replacement into reusable storage: the same k draws and
+  /// the same output, in O(k) and allocation-free once `out` and the calling
+  /// thread's membership bitmap (n bits, kept between calls) are warm.
+  void sample_into(std::uint32_t n, std::uint32_t k,
+                   std::vector<std::uint32_t>* out);
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -19,6 +19,10 @@ namespace mmr {
 
 class ThreadPool {
  public:
+  /// Largest worker count a --threads flag may ask for; the flag readers
+  /// reject more before any pool is built.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// Creates `threads` workers; 0 means hardware_concurrency (min 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();

@@ -322,6 +322,30 @@ TEST(Des, OptionalFetchesFollowInterest) {
   EXPECT_GT(m.optional_time.count(), 0u);
 }
 
+// Recorded before the DES dropped its private Floyd copy for
+// Rng::sample_into. Every viewer follows links here; on a page with one link
+// that is all of them, which the DES takes in slot order without a draw,
+// while pages with 2-4 links draw a sample. Both paths feed this hash.
+TEST(Des, OptionalLinkPicksArePinned) {
+  WorkloadParams wp = testing::small_params();
+  wp.pages_with_optional = 1.0;
+  wp.min_optional_per_page = 1;
+  wp.max_optional_per_page = 4;
+  const SystemModel sys = generate_workload(wp, 41);
+  DesParams dp = fast_params();
+  dp.p_interested = 1.0;
+  const DesMetrics m =
+      DesSimulator(sys, dp).simulate(make_local_assignment(sys), 29);
+  EXPECT_EQ(m.optional_fetches, 1200u);
+  testing::Fnv1a f;
+  f.add(m.optional_fetches);
+  f.add(m.events);
+  f.add(m.sojourn.mean());
+  f.add(m.optional_time.mean());
+  f.add(m.horizon_s);
+  EXPECT_EQ(f.h, 0x0d2e02d21653368du);
+}
+
 TEST(Des, PsDisciplineStretchesUnderLoad) {
   const SystemModel sys = generate_workload(testing::small_params(), 308);
   DesParams fifo = fast_params();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "../bench/bench_common.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace mmr {
 namespace {
@@ -91,6 +96,65 @@ TEST(Flags, GetStringListReturnsEveryOccurrenceInOrder) {
   EXPECT_EQ(filters[1], "rss");
   EXPECT_EQ(f.get_string("filter", ""), "rss");
   EXPECT_TRUE(f.get_string_list("absent").empty());
+}
+
+TEST(Flags, GetIntRejectsEmptyAndOutOfRangeValues) {
+  EXPECT_THROW(parse({"p", "--n="}).get_int("n", 7), CheckError);
+  EXPECT_THROW(parse({"p", "--n=99999999999999999999"}).get_int("n", 0),
+               CheckError);
+  EXPECT_THROW(parse({"p", "--n=-99999999999999999999"}).get_int("n", 0),
+               CheckError);
+  EXPECT_THROW(parse({"p", "--n=12abc"}).get_int("n", 0), CheckError);
+  EXPECT_EQ(parse({"p", "--n=-9223372036854775808"}).get_int("n", 0),
+            INT64_MIN);
+  EXPECT_EQ(parse({"p", "--n=-5"}).get_int("n", 0), -5);
+  EXPECT_THROW(parse({"p", "--x="}).get_double("x", 1.0), CheckError);
+  EXPECT_THROW(parse({"p", "--x=1e999"}).get_double("x", 1.0), CheckError);
+}
+
+TEST(Flags, GetCountAcceptsOnlyZeroToMax) {
+  EXPECT_EQ(parse({"p"}).get_count("n", 12, 100), 12u);
+  EXPECT_EQ(parse({"p", "--n=0"}).get_count("n", 12, 100), 0u);
+  EXPECT_EQ(parse({"p", "--n=100"}).get_count("n", 12, 100), 100u);
+  for (const char* bad : {"--n=-1", "--n=101", "--n=", "--n=abc",
+                          "--n=1e3", "--n=18446744073709551616"}) {
+    EXPECT_THROW(parse({"p", bad}).get_count("n", 12, 100), CheckError)
+        << bad;
+  }
+  try {
+    parse({"p", "--n=-1"}).get_count("n", 0, 100);
+    FAIL() << "no throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--n must be in [0, 100]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The shared harness flags: every bad count throws from config_from_flags
+// before init_artifacts marks the process initialized, registers its exit
+// writer or the harness builds a thread pool with the value.
+TEST(BenchFlags, ConfigRejectsBadCountsBeforeAnyState) {
+  const std::string too_many_threads =
+      "--threads=" + std::to_string(ThreadPool::kMaxThreads + 1);
+  for (const char* bad :
+       {"--threads=-1", too_many_threads.c_str(), "--runs=abc", "--runs=",
+        "--runs=-3", "--requests=-5", "--requests=4294967296", "--reps=-1",
+        "--warmup=x", "--flight-sample=-2"}) {
+    const char* argv[] = {"prog", bad};
+    const Flags flags = bench::standard_flags(2, argv);
+    EXPECT_THROW(bench::config_from_flags(flags), CheckError) << bad;
+    EXPECT_FALSE(bench::detail::artifact_state().initialized) << bad;
+  }
+}
+
+TEST(BenchFlags, ExitCodeIsOneOrTheMemoryBudgetCode) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(bench::exit_code_for(CheckError("bad flag")), 1);
+  EXPECT_EQ(bench::exit_code_for(memacct::MemBudgetError("over budget")),
+            memacct::kMemBudgetExitCode);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("error: bad flag"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "test_helpers.h"
 #include "util/check.h"
+#include "workload/scale.h"
 #include "workload/stats.h"
 
 namespace mmr {
@@ -192,6 +193,21 @@ TEST(GeneratorValidation, RejectsBadParams) {
   expect_invalid([](WorkloadParams& p) {
     p.page_requests_per_sec_per_server = 0;
   });
+}
+
+// Recorded before sampling moved onto a membership bitmap and finalize()
+// onto flat object stamps: both must leave every instance bit-identical.
+TEST(GeneratorGolden, FinalizedInstanceHashes) {
+  const WorkloadParams table1;
+  const WorkloadParams small = scale_params(ScaleTier::kSmall);
+  EXPECT_EQ(testing::model_hash(generate_workload(table1, 11)),
+            0xb8275d2a3158eaf9u);
+  EXPECT_EQ(testing::model_hash(generate_workload(table1, 7919)),
+            0x9d86ed51fac62af8u);
+  EXPECT_EQ(testing::model_hash(generate_workload(small, 11)),
+            0x3ec70d577d025383u);
+  EXPECT_EQ(testing::model_hash(generate_workload(small, 601)),
+            0x9032638f7311be53u);
 }
 
 TEST(WorkloadStats, ToStringMentionsKeyNumbers) {

@@ -3,6 +3,7 @@
 // parameter set for fast randomized tests.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "model/system.h"
@@ -126,6 +127,86 @@ inline WorkloadParams small_params() {
   p.server_proc_capacity = kUnlimited;
   p.page_requests_per_sec_per_server = 5.0;
   return p;
+}
+
+/// FNV-1a over a stream of 64-bit words (little-endian bytes); golden tests
+/// pin whole derived arrays with it.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+};
+
+/// Hash of a finalized instance: the raw servers, objects and pages plus
+/// every finalize()-derived accessor (pages per server, ranks, the reference
+/// CSR, per-slot caches, visit orders, byte and rate totals). Two instances
+/// hash equal only if every solver-visible index is identical.
+inline std::uint64_t model_hash(const SystemModel& sys) {
+  Fnv1a f;
+  f.add(sys.repository().proc_capacity);
+  for (const MediaObject& o : sys.objects()) f.add(o.bytes);
+  for (const Server& s : sys.servers()) {
+    f.add(s.proc_capacity);
+    f.add(s.storage_capacity);
+    f.add(s.ovhd_local);
+    f.add(s.ovhd_repo);
+    f.add(s.local_rate);
+    f.add(s.repo_rate);
+  }
+  f.add(std::uint64_t{sys.total_comp_slots()});
+  f.add(std::uint64_t{sys.total_opt_slots()});
+  f.add(sys.total_ref_ranks());
+  for (ServerId i = 0; i < sys.num_servers(); ++i) {
+    f.add(sys.html_bytes_on_server(i));
+    f.add(sys.full_replication_bytes(i));
+    f.add(sys.page_request_rate(i));
+    f.add(sys.rank_base(i));
+    f.add(std::uint64_t{sys.num_referenced(i)});
+    for (PageId j : sys.pages_on_server(i)) f.add(std::uint64_t{j});
+    for (std::uint32_t r = 0; r < sys.num_referenced(i); ++r) {
+      f.add(std::uint64_t{sys.object_at_rank(i, r)});
+      for (const PageObjectRef& ref : sys.refs_at_rank(i, r)) {
+        f.add(std::uint64_t{ref.page});
+        f.add(std::uint64_t{ref.compulsory});
+        f.add(std::uint64_t{ref.index});
+      }
+    }
+  }
+  for (PageId j = 0; j < sys.num_pages(); ++j) {
+    const Page& p = sys.page(j);
+    f.add(std::uint64_t{p.host});
+    f.add(p.html_bytes);
+    f.add(p.frequency);
+    f.add(p.optional_scale);
+    f.add(std::uint64_t{sys.page_pos_in_host(j)});
+    f.add(std::uint64_t{sys.comp_offset(j)});
+    f.add(std::uint64_t{sys.opt_offset(j)});
+    f.add(sys.page_base_local_time(j));
+    f.add(sys.page_base_remote_time(j));
+    const auto n_comp = static_cast<std::uint32_t>(p.compulsory.size());
+    for (std::uint32_t x = 0; x < n_comp; ++x) {
+      f.add(std::uint64_t{p.compulsory[x]});
+      f.add(std::uint64_t{sys.comp_order(j)[x]});
+      f.add(std::uint64_t{sys.comp_rank(j, x)});
+      f.add(sys.comp_local_xfer(j, x));
+      f.add(sys.comp_remote_xfer(j, x));
+    }
+    const auto n_opt = static_cast<std::uint32_t>(p.optional.size());
+    for (std::uint32_t x = 0; x < n_opt; ++x) {
+      f.add(std::uint64_t{p.optional[x].object});
+      f.add(p.optional[x].probability);
+      f.add(std::uint64_t{sys.opt_rank(j, x)});
+      f.add(sys.opt_local_time(j, x));
+      f.add(sys.opt_remote_time(j, x));
+      f.add(std::uint64_t{sys.opt_beneficial(j, x)});
+    }
+  }
+  return f.h;
 }
 
 }  // namespace mmr::testing

@@ -6,7 +6,8 @@
 // to a writer or to the envelope must leave these hashes unchanged.
 //
 // ParserFuzz feeds deterministic mutants of every JSONL artifact, a BENCH
-// json and the system / assignment text formats to their strict parsers.
+// json, the system / assignment text formats and a command line (Flags and
+// its typed getters) to their strict parsers.
 // Each mutant must either parse or throw CheckError: any other exception
 // fails the test, and a crash or sanitizer report fails the process.
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "sim/des.h"
 #include "sim/runner.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "workload/generator.h"
 
@@ -298,6 +300,31 @@ TEST(ParserFuzz, SystemAndAssignmentText) {
   fuzz("mmrepl-assignment", s.assignment, [&](const std::string& t) {
     std::istringstream is(t);
     load_assignment(sys, is);
+  });
+}
+
+TEST(ParserFuzz, CommandLineFlags) {
+  // One argument per line, so dropped and duplicated lines are dropped and
+  // repeated flags. Every typed getter runs on every mutant.
+  const std::string seed =
+      "prog\n--runs=20\n--requests\n2000\n--threads=4\n--seed=-42\n"
+      "--frac=0.65\n--quick\n--mem-budget=4096\n--name=x\ninput.txt\n";
+  fuzz("command line", seed, [](const std::string& t) {
+    std::vector<std::string> args;
+    std::istringstream is(t);
+    for (std::string line; std::getline(is, line);) args.push_back(line);
+    std::vector<const char*> argv;
+    for (const std::string& a : args) argv.push_back(a.c_str());
+    const Flags f = Flags::parse(static_cast<int>(argv.size()), argv.data());
+    f.get_count("runs", 5, 1u << 20);
+    f.get_count("requests", 10, 1u << 20);
+    f.get_count("threads", 0, 1024);
+    f.get_count("mem-budget", 0, INT64_MAX);
+    f.get_int("seed", 1);
+    f.get_double("frac", 0.5);
+    f.get_bool("quick", false);
+    f.get_string("name", "");
+    f.get_string_list("runs");
   });
 }
 

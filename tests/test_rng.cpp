@@ -163,6 +163,64 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   EXPECT_THROW(rng.sample_without_replacement(3, 4), CheckError);
 }
 
+// Recorded before Floyd's membership test moved from a linear scan onto a
+// bitmap: the answers, and so every sample, must not change.
+TEST(Rng, SampleWithoutReplacementPinnedSequences) {
+  struct Case {
+    std::uint32_t n, k;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {{1, 1, 0xcec111e2477e7146u},
+                        {10, 10, 0x62e40d18fcdf36f1u},
+                        {100, 20, 0x67e5a3066fae04b6u},
+                        {15000, 4500, 0xb656a7feb9068907u},
+                        {600000, 3000, 0x6ce4939e774554c9u}};
+  for (const Case& c : cases) {
+    Rng rng(c.n * 31 + c.k);
+    const auto sample = rng.sample_without_replacement(c.n, c.k);
+    ASSERT_EQ(sample.size(), c.k);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint32_t v : sample) {
+      h ^= v;
+      h *= 0x100000001b3ULL;
+    }
+    h ^= rng();  // the engine state after the draws
+    EXPECT_EQ(h, c.hash) << "n=" << c.n << " k=" << c.k << " got 0x"
+                         << std::hex << h;
+  }
+}
+
+TEST(Rng, SampleIntoMatchesSampleWithoutReplacement) {
+  struct Case {
+    std::uint32_t n, k;
+  };
+  const Case cases[] = {{1, 1},         {10, 10}, {100, 20}, {15000, 4500},
+                        {600000, 3000}, {7, 0},   {64, 63},  {65, 64}};
+  std::vector<std::uint32_t> out = {99, 98};  // stale contents are replaced
+  for (const Case& c : cases) {
+    Rng a(c.n + c.k), b(c.n + c.k);
+    const auto expected = a.sample_without_replacement(c.n, c.k);
+    b.sample_into(c.n, c.k, &out);
+    EXPECT_EQ(out, expected) << "n=" << c.n << " k=" << c.k;
+    EXPECT_EQ(a(), b()) << "engine state differs, n=" << c.n;
+  }
+  Rng rng(20);
+  EXPECT_THROW(rng.sample_into(3, 4, &out), CheckError);
+}
+
+TEST(Rng, SampleIntoLeavesNoMembershipBehind) {
+  // Back-to-back samples of a small universe must each be complete
+  // permutations: a bit left set by one call would corrupt the next.
+  Rng rng(21);
+  std::vector<std::uint32_t> out;
+  for (int trial = 0; trial < 100; ++trial) {
+    rng.sample_into(70, 70, &out);
+    std::set<std::uint32_t> unique(out.begin(), out.end());
+    ASSERT_EQ(unique.size(), 70u);
+    EXPECT_EQ(*unique.rbegin(), 69u);
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStreams) {
   Rng parent(42);
   Rng child1 = parent.split(1);

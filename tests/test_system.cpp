@@ -2,14 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "test_helpers.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace mmr {
 namespace {
 
 using testing::tiny_system;
 using testing::two_server_system;
+
+/// The message finalize() rejects `sys` with ("" if it accepts it).
+std::string finalize_error(SystemModel& sys) {
+  try {
+    sys.finalize();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A page on `host` with the given compulsory and (probability 0.5)
+/// optional objects.
+Page make_page(ServerId host, std::vector<ObjectId> compulsory,
+               std::vector<ObjectId> optional = {}) {
+  Page p;
+  p.host = host;
+  p.html_bytes = 10;
+  p.frequency = 1.0;
+  p.compulsory = std::move(compulsory);
+  for (const ObjectId k : optional) p.optional.push_back({k, 0.5});
+  return p;
+}
 
 TEST(SystemModel, TinySystemIndices) {
   const SystemModel sys = tiny_system();
@@ -94,7 +123,7 @@ TEST(SystemModelValidation, RejectsInvalidObjectReference) {
   p.html_bytes = 10;
   p.compulsory = {7};  // no such object
   sys.add_page(std::move(p));
-  EXPECT_THROW(sys.finalize(), CheckError);
+  EXPECT_NE(finalize_error(sys).find("invalid object 7"), std::string::npos);
 }
 
 TEST(SystemModelValidation, RejectsDuplicateReference) {
@@ -106,7 +135,7 @@ TEST(SystemModelValidation, RejectsDuplicateReference) {
   p.html_bytes = 10;
   p.compulsory = {k, k};
   sys.add_page(std::move(p));
-  EXPECT_THROW(sys.finalize(), CheckError);
+  EXPECT_NE(finalize_error(sys).find("twice"), std::string::npos);
 }
 
 TEST(SystemModelValidation, RejectsCompulsoryAndOptionalOverlap) {
@@ -119,7 +148,8 @@ TEST(SystemModelValidation, RejectsCompulsoryAndOptionalOverlap) {
   p.compulsory = {k};
   p.optional = {{k, 0.5}};
   sys.add_page(std::move(p));
-  EXPECT_THROW(sys.finalize(), CheckError);
+  EXPECT_NE(finalize_error(sys).find("both compulsorily and optionally"),
+            std::string::npos);
 }
 
 TEST(SystemModelValidation, RejectsBadOptionalProbability) {
@@ -184,6 +214,114 @@ TEST(SystemModelValidation, NegativeFrequencyRejected) {
   p.frequency = -1.0;
   sys.add_page(std::move(p));
   EXPECT_THROW(sys.finalize(), CheckError);
+}
+
+TEST(SystemModelValidation, ReportsTheFirstBadPageInPageOrder) {
+  // Page 1 (host 1) repeats an object, page 2 (host 0) names a missing one
+  // and page 3 mixes roles: page 1 is reported whatever the hosts.
+  SystemModel sys;
+  sys.add_server({});
+  sys.add_server({});
+  const ObjectId a = sys.add_object({100});
+  const ObjectId b = sys.add_object({200});
+  sys.add_page(make_page(0, {a, b}));
+  sys.add_page(make_page(1, {b, a, b}));
+  sys.add_page(make_page(0, {a, 9}));
+  sys.add_page(make_page(1, {a}, {a}));
+  const std::string msg = finalize_error(sys);
+  EXPECT_NE(msg.find("page 1 references object 1 twice"), std::string::npos)
+      << msg;
+}
+
+TEST(SystemModelValidation, SameObjectOnConsecutivePagesIsNoDuplicate) {
+  // Duplicate detection is per page: neighbours sharing every object, in
+  // either role, are a valid instance.
+  SystemModel sys;
+  sys.add_server({});
+  const ObjectId a = sys.add_object({100});
+  const ObjectId b = sys.add_object({200});
+  sys.add_page(make_page(0, {a}, {b}));
+  sys.add_page(make_page(0, {b}, {a}));
+  sys.add_page(make_page(0, {a, b}));
+  EXPECT_EQ(finalize_error(sys), "");
+  EXPECT_EQ(sys.objects_referenced(0), (std::vector<ObjectId>{a, b}));
+}
+
+// The generator emits each site's pages contiguously; finalize() must not
+// depend on that. A randomized instance whose pages interleave hosts is
+// checked against an independent build of ranks and the reference CSR.
+TEST(SystemModel, InterleavedHostsMatchReferenceBuild) {
+  constexpr std::uint32_t kServers = 4;
+  constexpr std::uint32_t kObjects = 40;
+  SystemModel sys;
+  for (std::uint32_t i = 0; i < kServers; ++i) sys.add_server({});
+  for (std::uint32_t k = 0; k < kObjects; ++k) {
+    sys.add_object({100 + 37 * ((k * 7) % 11)});  // repeated sizes: ties
+  }
+  Rng rng(2024);
+  for (PageId j = 0; j < 60; ++j) {
+    const auto host = static_cast<ServerId>(rng.bounded(kServers));
+    const auto n = static_cast<std::uint32_t>(rng.bounded(9));
+    const auto n_comp = static_cast<std::uint32_t>(rng.bounded(n + 1));
+    const auto picks = rng.sample_without_replacement(kObjects, n);
+    const auto split = picks.begin() + n_comp;
+    sys.add_page(make_page(host, std::vector<ObjectId>(picks.begin(), split),
+                           std::vector<ObjectId>(split, picks.end())));
+  }
+  sys.finalize();
+
+  // Reference: std::set for the distinct objects, a map for the refs.
+  std::uint64_t rank_total = 0;
+  for (ServerId i = 0; i < kServers; ++i) {
+    std::set<ObjectId> objects;
+    std::map<ObjectId, std::vector<PageObjectRef>> refs;
+    std::vector<PageId> hosted;
+    for (PageId j = 0; j < sys.num_pages(); ++j) {
+      const Page& p = sys.page(j);
+      if (p.host != i) continue;
+      EXPECT_EQ(sys.page_pos_in_host(j), hosted.size());
+      hosted.push_back(j);
+      for (std::uint32_t x = 0; x < p.compulsory.size(); ++x) {
+        objects.insert(p.compulsory[x]);
+        refs[p.compulsory[x]].push_back({j, true, x});
+      }
+      for (std::uint32_t x = 0; x < p.optional.size(); ++x) {
+        objects.insert(p.optional[x].object);
+        refs[p.optional[x].object].push_back({j, false, x});
+      }
+    }
+    EXPECT_EQ(sys.pages_on_server(i), hosted);
+    const std::vector<ObjectId> ranked(objects.begin(), objects.end());
+    ASSERT_EQ(sys.objects_referenced(i), ranked);
+    EXPECT_EQ(sys.rank_base(i), rank_total);
+    rank_total += ranked.size();
+    std::uint64_t full = sys.html_bytes_on_server(i);
+    for (std::uint32_t r = 0; r < ranked.size(); ++r) {
+      full += sys.object_bytes(ranked[r]);
+      EXPECT_EQ(sys.object_rank_on_server(i, ranked[r]), r);
+      const RefSpan got = sys.refs_at_rank(i, r);
+      const std::vector<PageObjectRef>& want = refs[ranked[r]];
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t x = 0; x < want.size(); ++x) {
+        EXPECT_EQ(got[x].page, want[x].page);
+        EXPECT_EQ(got[x].compulsory, want[x].compulsory);
+        EXPECT_EQ(got[x].index, want[x].index);
+      }
+    }
+    EXPECT_EQ(sys.full_replication_bytes(i), full);
+  }
+  EXPECT_EQ(sys.total_ref_ranks(), rank_total);
+  for (PageId j = 0; j < sys.num_pages(); ++j) {
+    const Page& p = sys.page(j);
+    for (std::uint32_t x = 0; x < p.compulsory.size(); ++x) {
+      EXPECT_EQ(sys.comp_rank(j, x),
+                sys.object_rank_on_server(p.host, p.compulsory[x]));
+    }
+    for (std::uint32_t x = 0; x < p.optional.size(); ++x) {
+      EXPECT_EQ(sys.opt_rank(j, x),
+                sys.object_rank_on_server(p.host, p.optional[x].object));
+    }
+  }
 }
 
 TEST(TransferSeconds, Basics) {
