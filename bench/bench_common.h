@@ -215,9 +215,10 @@ inline Flags standard_flags(int argc, const char* const* argv) {
 ///   harness.wall_s — wall time of the body,
 ///   harness.cpu_user_s / harness.cpu_sys_s — rusage CPU-time deltas,
 ///   harness.peak_rss_bytes — process high-water RSS after the rep,
-///   plus per-rep metrics deltas (timer.*, gauge.*, hist.*.pNN) via
+///   plus per-rep metrics deltas (timer.*, gauge.*) via
 ///   record_metrics_delta, which is where solver wall-time, final D and
-///   response-time percentiles enter the BENCH artifact.
+///   (with --obs) the sketch's response-time percentiles enter the BENCH
+///   artifact.
 /// Output is printed by the first repetition only. Returns the harness exit
 /// code (always 0; kept as the return value so mains can `return` it).
 template <typename Body>

@@ -55,8 +55,7 @@ int main(int argc, char** argv) try {
   params.requests_per_server =
       static_cast<std::uint32_t>(flags.get_count("requests", 20000));
   params.arrival_rate_scale = flags.get_double("arrival-rate", 1.0);
-  params.shards = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, flags.get_int("shards", 0)));
+  params.shards = static_cast<std::uint32_t>(flags.get_count("shards", 0));
   params.pool = pool.get();
   params.capture_samples = true;
   const DesSimulator sim(sys, params);

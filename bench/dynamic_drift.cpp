@@ -22,6 +22,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const ExperimentConfig base = bench::config_from_flags(flags);
+  const auto epochs = static_cast<std::uint32_t>(flags.get_count("epochs", 8));
   return bench::run_measured([&] {
 
     WorkloadParams wl;
@@ -31,7 +32,7 @@ int main(int argc, char** argv) try {
     SystemModel sys = generate_workload(wl, base.base_seed);
 
     DynamicExperimentConfig cfg;
-    cfg.drift.epochs = static_cast<std::uint32_t>(flags.get_int("epochs", 8));
+    cfg.drift.epochs = epochs;
     cfg.drift.hot_churn = flags.get_double("churn", 0.25);
     cfg.sim = base.sim;
     cfg.sim.requests_per_server =

@@ -58,8 +58,8 @@ int main(int argc, char** argv) try {
       }
     }
     MMR_CHECK_MSG(!tiers.empty(), "--tiers selected no tier");
-    const auto shards = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(0, flags.get_int("shards", 16)));
+    const auto shards =
+        static_cast<std::uint32_t>(flags.get_count("shards", 16));
 
     std::unique_ptr<ThreadPool> pool;
     if (cfg.threads != 1) pool = std::make_unique<ThreadPool>(cfg.threads);

@@ -14,7 +14,7 @@
 #include "workload/generator.h"
 #include "workload/stats.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = Flags::parse(argc, argv);
   flags.describe("runs", "seeded repetitions per point (default 8)")
@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
   }
 
   ExperimentConfig cfg;
-  cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 8));
+  cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 8));
   cfg.sim.requests_per_server =
-      static_cast<std::uint32_t>(flags.get_int("requests", 2000));
+      static_cast<std::uint32_t>(flags.get_count("requests", 2000));
   cfg.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   ThreadPool pool;
 
@@ -76,4 +76,8 @@ int main(int argc, char** argv) {
     std::cout << "\nNo storage level in the sweep met the target.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  // A bad flag value (CheckError) is a message and exit 1, never an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -68,7 +68,7 @@ int cmd_generate(const Flags& flags) {
   WorkloadParams params;
   params.storage_fraction = flags.get_double("storage", 1.0);
   params.num_servers =
-      static_cast<std::uint32_t>(flags.get_int("servers", 10));
+      static_cast<std::uint32_t>(flags.get_count("servers", 10));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const SystemModel sys = generate_workload(params, seed);
   save_system_file(sys, out);
@@ -103,8 +103,7 @@ int cmd_solve(const Flags& flags) {
   options.weights.alpha2 = flags.get_double("alpha2", 1.0);
   const std::uint64_t threads =
       flags.get_count("threads", 1, ThreadPool::kMaxThreads);
-  options.shards = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, flags.get_int("shards", 0)));
+  options.shards = static_cast<std::uint32_t>(flags.get_count("shards", 0));
   std::unique_ptr<ThreadPool> pool;
   if (threads != 1) {
     pool = std::make_unique<ThreadPool>(threads);
@@ -148,17 +147,16 @@ int cmd_simulate_des(const Flags& flags, const SystemModel& sys,
       flags.get_count("requests", 10000));
   params.arrival_rate_scale = flags.get_double("arrival-rate", 1.0);
   params.server_concurrency =
-      static_cast<std::uint32_t>(flags.get_int("concurrency", 8));
+      static_cast<std::uint32_t>(flags.get_count("concurrency", 8));
   params.repo_concurrency =
-      static_cast<std::uint32_t>(flags.get_int("repo-concurrency", 64));
+      static_cast<std::uint32_t>(flags.get_count("repo-concurrency", 64));
   params.queue_cap =
-      static_cast<std::uint32_t>(flags.get_int("queue-cap", 1024));
+      static_cast<std::uint32_t>(flags.get_count("queue-cap", 1024));
   params.discipline =
       parse_queue_discipline(flags.get_string("discipline", "fifo"));
   params.overflow =
       parse_overflow_policy(flags.get_string("overflow", "redirect"));
-  params.shards = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, flags.get_int("shards", 0)));
+  params.shards = static_cast<std::uint32_t>(flags.get_count("shards", 0));
   const std::uint64_t threads = std::max<std::uint64_t>(
       1, flags.get_count("threads", 1, ThreadPool::kMaxThreads));
   std::unique_ptr<ThreadPool> pool;

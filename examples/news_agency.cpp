@@ -12,7 +12,7 @@
 #include "util/flags.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = Flags::parse(argc, argv);
   flags.describe("storage", "site disk as a fraction of the bytes needed to "
@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
 
   ExperimentConfig cfg;
   cfg.workload.num_servers = 10;  // worldwide local sites
-  cfg.runs = static_cast<std::uint32_t>(flags.get_int("runs", 10));
+  cfg.runs = static_cast<std::uint32_t>(flags.get_count("runs", 10));
   cfg.sim.requests_per_server =
-      static_cast<std::uint32_t>(flags.get_int("requests", 3000));
+      static_cast<std::uint32_t>(flags.get_count("requests", 3000));
   cfg.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 2026));
 
   ScenarioSpec spec;
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
                "paper's evaluation), so at\ntight storage it can beat the "
                "constrained policies while being physically infeasible.\n";
   return 0;
+} catch (const std::exception& e) {
+  // A bad flag value (CheckError) is a message and exit 1, never an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -10,7 +10,7 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mmr;
   Flags flags = Flags::parse(argc, argv);
   flags.describe("central", "repository capacity as a fraction of what the "
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
 
   WorkloadParams wl;
-  wl.num_servers = static_cast<std::uint32_t>(flags.get_int("servers", 4));
+  wl.num_servers = static_cast<std::uint32_t>(flags.get_count("servers", 4));
   wl.min_pages_per_server = 100;
   wl.max_pages_per_server = 150;
   wl.num_objects = 3000;
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
             << "  after: " << format_double(result.d_after_offload, 0)
             << " (the protocol trades a little response time for Eq. 9).\n";
   return result.offload_report.converged ? 0 : 1;
+} catch (const std::exception& e) {
+  // A bad flag value (CheckError) is a message and exit 1, never an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -114,22 +114,6 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
   }
   w.end_object();
 
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : snapshot.histograms) {
-    w.key(name).begin_object();
-    w.kv("lo", h.lo);
-    w.kv("hi", h.hi);
-    w.kv("total", h.total);
-    w.kv("p50", h.p50);
-    w.kv("p95", h.p95);
-    w.kv("p99", h.p99);
-    w.key("bucket_counts").begin_array();
-    for (std::uint64_t c : h.counts) w.value(c);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-
   w.end_object();
   os << '\n';
 }

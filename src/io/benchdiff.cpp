@@ -1,6 +1,7 @@
 #include "io/benchdiff.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <map>
 #include <ostream>
@@ -24,6 +25,11 @@ const char* to_string(SeriesVerdict v) {
       return "missing";
   }
   return "?";
+}
+
+const char* BenchDiffReport::verdict() const {
+  if (regressions > 0) return "regression";
+  return missing > 0 ? "missing" : "pass";
 }
 
 BenchDiffReport diff_bench_artifacts(const BenchArtifact& baseline,
@@ -56,6 +62,7 @@ BenchDiffReport diff_bench_artifacts(const BenchArtifact& baseline,
     if (it == cand.end()) {
       d.verdict = SeriesVerdict::kMissing;
       ++report.unmatched;
+      ++report.missing;
       report.series.push_back(std::move(d));
       continue;
     }
@@ -145,17 +152,26 @@ void write_benchdiff_table(std::ostream& os, const BenchDiffReport& report) {
     t.add_cell(to_string(d.verdict));
   }
   t.print(os, "benchdiff — baseline vs candidate");
-  os << "\nverdict: " << (report.ok() ? "PASS" : "REGRESSION") << " ("
-     << report.regressions << " regressions, " << report.improvements
-     << " improvements, " << report.passes << " within noise, "
-     << report.unmatched << " unmatched)\n";
+  os << '\n';
+  write_benchdiff_summary(os, report);
+}
+
+void write_benchdiff_summary(std::ostream& os, const BenchDiffReport& report) {
+  std::string verdict = report.verdict();
+  for (char& c : verdict) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  os << "verdict: " << verdict << " (" << report.regressions
+     << " regressions, " << report.missing << " missing, "
+     << report.improvements << " improvements, " << report.passes
+     << " within noise, " << report.unmatched << " unmatched)\n";
 }
 
 void write_benchdiff_json(std::ostream& os, const BenchDiffReport& report,
                           const BenchDiffOptions& options) {
   JsonWriter w(os);
   w.begin_object();
-  w.kv("verdict", report.ok() ? "pass" : "regression");
+  w.kv("verdict", report.verdict());
   w.key("thresholds").begin_object();
   w.kv("rel_threshold", options.rel_threshold);
   w.kv("mem_rel_threshold", options.mem_rel_threshold);
@@ -179,6 +195,7 @@ void write_benchdiff_json(std::ostream& os, const BenchDiffReport& report,
   w.kv("improvements", static_cast<std::uint64_t>(report.improvements));
   w.kv("passes", static_cast<std::uint64_t>(report.passes));
   w.kv("unmatched", static_cast<std::uint64_t>(report.unmatched));
+  w.kv("missing", static_cast<std::uint64_t>(report.missing));
   w.key("series").begin_array();
   for (const SeriesDiff& d : report.series) {
     w.begin_object();

@@ -8,7 +8,9 @@
 // so a 3% wobble on a 2 ms timer with 10% run-to-run noise never pages
 // anyone, while a genuine 30% regression on a stable series does. The
 // series' `direction` decides whether an exceeding delta is a regression or
-// an improvement; "none" series are reported but never flagged.
+// an improvement; "none" series are reported but never flagged. A selected
+// baseline series the candidate lacks fails the gate too: a renamed or
+// dropped series must not silently switch a gate off.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +64,8 @@ enum class SeriesVerdict {
   kPass,         ///< delta within noise
   kImprovement,  ///< delta exceeds threshold in the good direction
   kRegression,   ///< delta exceeds threshold in the bad direction
-  kNew,          ///< series only in the candidate
-  kMissing,      ///< series only in the baseline
+  kNew,          ///< series only in the candidate (passes)
+  kMissing,      ///< series only in the baseline (fails the gate)
 };
 
 const char* to_string(SeriesVerdict v);
@@ -88,20 +90,27 @@ struct BenchDiffReport {
   std::size_t improvements = 0;
   std::size_t passes = 0;
   std::size_t unmatched = 0;  ///< kNew + kMissing
+  std::size_t missing = 0;    ///< kMissing alone
 
-  bool ok() const { return regressions == 0; }
+  bool ok() const { return regressions == 0 && missing == 0; }
+  /// "pass", else "regression" when any series regressed, else "missing".
+  const char* verdict() const;
 };
 
 BenchDiffReport diff_bench_artifacts(const BenchArtifact& baseline,
                                      const BenchArtifact& candidate,
                                      const BenchDiffOptions& options);
 
-/// Human-readable comparison table plus a one-line summary.
+/// Human-readable comparison table plus the summary line below.
 void write_benchdiff_table(std::ostream& os, const BenchDiffReport& report);
 
+/// One line: the verdict in capitals, then the per-verdict series counts.
+void write_benchdiff_summary(std::ostream& os, const BenchDiffReport& report);
+
 /// Machine-readable verdict document:
-///   { "verdict": "pass"|"regression", "thresholds": {...},
+///   { "verdict": "pass"|"regression"|"missing", "thresholds": {...},
 ///     "regressions": n, "improvements": n, "passes": n, "unmatched": n,
+///     "missing": n,
 ///     "series": [ {name, unit, direction, base_mean, cand_mean, delta,
 ///                  rel_delta, threshold, verdict} ] }
 void write_benchdiff_json(std::ostream& os, const BenchDiffReport& report,

@@ -276,30 +276,12 @@ void record_metrics_delta(BenchCollector& out, const MetricsSnapshot& prev,
                           const MetricsSnapshot& cur) {
   for (const auto& [name, t] : cur.timers) {
     const auto it = prev.timers.find(name);
-    const double before = it == prev.timers.end() ? 0.0 : it->second.total_s;
-    out.record("timer." + name, "s", t.total_s - before);
+    const TimerStat before = it == prev.timers.end() ? TimerStat{} : it->second;
+    if (t.count == before.count) continue;  // timer untouched this rep
+    out.record("timer." + name, "s", t.total_s - before.total_s);
   }
   for (const auto& [name, g] : cur.gauges) {
     out.record("gauge." + name, "1", g.last);
-  }
-  for (const auto& [name, h] : cur.histograms) {
-    std::vector<std::uint64_t> counts = h.counts;
-    const auto it = prev.histograms.find(name);
-    if (it != prev.histograms.end() &&
-        it->second.counts.size() == counts.size()) {
-      for (std::size_t i = 0; i < counts.size(); ++i) {
-        counts[i] -= std::min(it->second.counts[i], counts[i]);
-      }
-    }
-    std::uint64_t total = 0;
-    for (std::uint64_t c : counts) total += c;
-    if (total == 0) continue;  // histogram untouched this rep
-    out.record("hist." + name + ".p50", "s",
-               quantile_from_bucket_counts(h.lo, h.hi, counts, 0.50));
-    out.record("hist." + name + ".p95", "s",
-               quantile_from_bucket_counts(h.lo, h.hi, counts, 0.95));
-    out.record("hist." + name + ".p99", "s",
-               quantile_from_bucket_counts(h.lo, h.hi, counts, 0.99));
   }
 }
 

@@ -120,12 +120,13 @@ class BenchCollector {
 BenchCollector& bench_collector();
 
 /// Records per-repetition deltas between two metrics snapshots into `out`:
-///   timer.<name>            — delta total_s per rep            [s, lower]
-///   gauge.<name>            — the gauge's `last` value         [1, lower]
-///   hist.<name>.p50/p95/p99 — percentiles of the rep's delta
-///                             histogram (bucket counts subtracted) [s, lower]
-/// This is how solver wall-time and quality metrics (final D, response-time
-/// percentiles) flow from the PR-1 metrics registry into BENCH artifacts.
+///   timer.<name> — delta total_s per rep, only for timers that ran this
+///                  rep (count moved), so a phase that ran before the
+///                  first snapshot leaves no all-zero series   [s, lower]
+///   gauge.<name> — the gauge's `last` value                   [1, lower]
+/// This is how solver wall-time and quality metrics (final D, the obs
+/// response/stretch quantile gauges) flow from the metrics registry into
+/// BENCH artifacts.
 void record_metrics_delta(BenchCollector& out, const MetricsSnapshot& prev,
                           const MetricsSnapshot& cur);
 

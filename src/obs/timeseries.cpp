@@ -94,18 +94,7 @@ void StationSeries::materialize() const {
 void StationSeries::fold_once() {
   materialize();
   std::map<std::uint64_t, TsCell> folded;
-  for (const auto& [index, c] : cells_) {
-    TsCell& f = folded[index >> 1];
-    f.arrivals += c.arrivals;
-    f.served += c.served;
-    f.redirected += c.redirected;
-    f.rejected += c.rejected;
-    f.depth_samples += c.depth_samples;
-    f.depth_sum += c.depth_sum;
-    f.depth_max = std::max(f.depth_max, c.depth_max);
-    f.inflight_max = std::max(f.inflight_max, c.inflight_max);
-    f.busy_s += c.busy_s;
-  }
+  for (const auto& [index, c] : cells_) folded[index >> 1].add(c);
   cells_.swap(folded);
   window_s_ *= 2;
   inv_window_s_ = 1.0 / window_s_;
@@ -128,18 +117,7 @@ void StationSeries::merge(const StationSeries& other) {
   }
   MMR_CHECK_MSG(w == window_s_,
                 "cannot merge station series with different window widths");
-  for (const auto& [index, c] : other.cells_) {
-    TsCell& mine = cells_[index >> shift];
-    mine.arrivals += c.arrivals;
-    mine.served += c.served;
-    mine.redirected += c.redirected;
-    mine.rejected += c.rejected;
-    mine.depth_samples += c.depth_samples;
-    mine.depth_sum += c.depth_sum;
-    mine.depth_max = std::max(mine.depth_max, c.depth_max);
-    mine.inflight_max = std::max(mine.inflight_max, c.inflight_max);
-    mine.busy_s += c.busy_s;
-  }
+  for (const auto& [index, c] : other.cells_) cells_[index >> shift].add(c);
   hot_index_ = 0;
   hot_ = nullptr;  // cells_[] may have rebalanced the map
   if (max_windows_ > 0) {

@@ -70,6 +70,20 @@ struct TsCell {
   std::uint32_t depth_max = 0;
   std::uint32_t inflight_max = 0;  ///< max jobs in service
   double busy_s = 0;             ///< service time overlapping this window
+
+  /// Folds `c` in as if its events had landed here: counts and sums add,
+  /// maxima take the max. Coarsening and merging both fold through this.
+  void add(const TsCell& c) {
+    arrivals += c.arrivals;
+    served += c.served;
+    redirected += c.redirected;
+    rejected += c.rejected;
+    depth_samples += c.depth_samples;
+    depth_sum += c.depth_sum;
+    depth_max = std::max(depth_max, c.depth_max);
+    inflight_max = std::max(inflight_max, c.inflight_max);
+    busy_s += c.busy_s;
+  }
 };
 
 /// One station's windowed series plus exact conservation totals. All

@@ -79,8 +79,8 @@ RunOutcome run_single(const ExperimentConfig& config, const ScenarioSpec& spec,
   }();
 
   // 5. Simulate everything on the same stream. Each policy's simulation
-  // runs under its label so per-policy instruments (response histograms)
-  // stay distinguishable after the runner merges worker registries.
+  // runs under its label so per-policy records (obs sketches, flight rows)
+  // stay distinguishable after the canonical shard merge.
   Simulator simulator(sys, config.sim);
   const std::uint64_t sim_seed = mix_seed(seed, 0x5EED);
 

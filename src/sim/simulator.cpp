@@ -21,15 +21,13 @@ namespace {
 
 /// Per-simulation metric handles, resolved once so the per-request path is
 /// an atomic add, not a registry lookup. Null members when collection is
-/// off. The response histogram is split by the active metric label
-/// ("sim.response_hist.ours" etc.) so per-policy distributions survive the
-/// runner's aggregation.
+/// off. Per-policy response distributions are the obs sketches' job
+/// (ObsContext below), not the registry's.
 struct SimMetricHandles {
   MetricCounter* requests = nullptr;
   MetricCounter* local_bound = nullptr;   ///< local pipeline set the max
   MetricCounter* remote_bound = nullptr;  ///< repository pipeline set the max
   MetricCounter* optional_downloads = nullptr;
-  MetricHistogram* response_hist = nullptr;
 
   static SimMetricHandles acquire() {
     SimMetricHandles h;
@@ -39,16 +37,13 @@ struct SimMetricHandles {
     h.local_bound = &reg.counter("sim.local_bound");
     h.remote_bound = &reg.counter("sim.remote_bound");
     h.optional_downloads = &reg.counter("sim.optional_downloads");
-    h.response_hist =
-        &reg.histogram(labeled_metric("sim.response_hist"), 0.0, 60.0, 60);
     return h;
   }
 
-  void observe_response(double response, double t_local, double t_remote) {
+  void count_request(double t_local, double t_remote) {
     if (requests == nullptr) return;
     requests->add(1);
     (t_local >= t_remote ? local_bound : remote_bound)->add(1);
-    response_hist->add(response);
   }
 };
 
@@ -372,7 +367,7 @@ SimMetrics Simulator::simulate(const Assignment& asg,
         }
       }
 
-      mh.observe_response(response, t_local, t_remote);
+      mh.count_request(t_local, t_remote);
       metrics.page_response.add(response);
       metrics.per_server_response[i].add(response);
       metrics.total_per_request.add(response + optional_total);
@@ -511,7 +506,7 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
                       transfer_seconds(remote_bytes, net.repo_rate);
         const double response = std::max(t_local, t_remote);
         if (measure) {
-          mh.observe_response(response, t_local, t_remote);
+          mh.count_request(t_local, t_remote);
           metrics.page_response.add(response);
           metrics.per_server_response[i].add(response);
           metrics.total_per_request.add(response);
@@ -641,7 +636,7 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
               ? 0.0
               : net.ovhd_repo + transfer_seconds(remote_bytes, net.repo_rate);
       const double response = std::max(t_local, t_remote);
-      mh.observe_response(response, t_local, t_remote);
+      mh.count_request(t_local, t_remote);
       metrics.page_response.add(response);
       metrics.per_server_response[i].add(response);
       metrics.total_per_request.add(response);

@@ -1,5 +1,7 @@
 #include "util/metrics.h"
 
+#include <vector>
+
 #include "util/check.h"
 
 namespace mmr {
@@ -116,42 +118,6 @@ void MetricTimer::reset() {
   max_ns_.store(0, std::memory_order_relaxed);
 }
 
-MetricHistogram::MetricHistogram(double lo, double hi, std::size_t buckets)
-    : hist_(lo, hi, buckets) {}
-
-void MetricHistogram::add(double x) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  hist_.add(x);
-}
-
-HistogramStat MetricHistogram::stat() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HistogramStat s;
-  s.lo = hist_.bucket_low(0);
-  s.hi = hist_.bucket_high(hist_.bucket_count() - 1);
-  s.total = hist_.total();
-  if (s.total > 0) {
-    s.p50 = hist_.quantile(0.50);
-    s.p95 = hist_.quantile(0.95);
-    s.p99 = hist_.quantile(0.99);
-  }
-  s.counts.reserve(hist_.bucket_count());
-  for (std::size_t i = 0; i < hist_.bucket_count(); ++i) {
-    s.counts.push_back(hist_.count_in_bucket(i));
-  }
-  return s;
-}
-
-void MetricHistogram::merge_from(const MetricHistogram& other) {
-  Histogram copy(0, 1, 1);
-  {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    copy = other.hist_;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  hist_.merge(copy);
-}
-
 MetricCounter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_[name];
@@ -167,23 +133,6 @@ MetricTimer& MetricsRegistry::timer(const std::string& name) {
   return timers_[name];
 }
 
-MetricHistogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                            double hi, std::size_t buckets) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.try_emplace(name, lo, hi, buckets).first;
-  }
-  return it->second;
-}
-
-void MetricHistogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  hist_ = Histogram(hist_.bucket_low(0),
-                    hist_.bucket_high(hist_.bucket_count() - 1),
-                    hist_.bucket_count());
-}
-
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   MMR_CHECK_MSG(&other != this, "cannot merge a registry into itself");
   // Snapshot the other registry's map shape under its lock, then fold each
@@ -192,7 +141,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   std::vector<std::pair<const std::string*, const MetricCounter*>> counters;
   std::vector<std::pair<const std::string*, const MetricGauge*>> gauges;
   std::vector<std::pair<const std::string*, const MetricTimer*>> timers;
-  std::vector<std::pair<const std::string*, const MetricHistogram*>> hists;
   {
     std::lock_guard<std::mutex> lock(other.mutex_);
     for (const auto& [name, c] : other.counters_) {
@@ -200,17 +148,10 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     }
     for (const auto& [name, g] : other.gauges_) gauges.emplace_back(&name, &g);
     for (const auto& [name, t] : other.timers_) timers.emplace_back(&name, &t);
-    for (const auto& [name, h] : other.histograms_) {
-      hists.emplace_back(&name, &h);
-    }
   }
   for (const auto& [name, c] : counters) counter(*name).add(c->value());
   for (const auto& [name, g] : gauges) gauge(*name).merge_from(*g);
   for (const auto& [name, t] : timers) timer(*name).merge_from(*t);
-  for (const auto& [name, h] : hists) {
-    const HistogramStat s = h->stat();
-    histogram(*name, s.lo, s.hi, s.counts.size()).merge_from(*h);
-  }
 }
 
 void MetricsRegistry::reset() {
@@ -218,7 +159,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();
   for (auto& [name, t] : timers_) t.reset();
-  for (auto& [name, h] : histograms_) h.reset();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -227,7 +167,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g.stat();
   for (const auto& [name, t] : timers_) snap.timers[name] = t.stat();
-  for (const auto& [name, h] : histograms_) snap.histograms[name] = h.stat();
   return snap;
 }
 
@@ -252,10 +191,6 @@ MetricsScope::~MetricsScope() {
 }
 
 const std::string& current_metric_label() { return tls_label; }
-
-std::string labeled_metric(const std::string& base) {
-  return tls_label.empty() ? base : base + "." + tls_label;
-}
 
 MetricLabelScope::MetricLabelScope(std::string label)
     : prev_(std::move(tls_label)) {

@@ -1,11 +1,12 @@
 // Process-wide metrics substrate for the solver, simulator and experiment
 // harness (docs/OBSERVABILITY.md has the metric catalog).
 //
-// Four instrument kinds live in a MetricsRegistry:
-//   counters   — monotonically increasing uint64 (relaxed atomics),
-//   gauges     — observed value series (last + RunningStats aggregate),
-//   timers     — wall-clock latency accumulators fed by ScopedTimer,
-//   histograms — fixed-bucket distributions (util/stats Histogram).
+// Three instrument kinds live in a MetricsRegistry:
+//   counters — monotonically increasing uint64 (relaxed atomics),
+//   gauges   — observed value series (last + RunningStats aggregate),
+//   timers   — wall-clock latency accumulators fed by ScopedTimer.
+// Response-time distributions are not registry instruments: the obs
+// QuantileSketch records them per (policy, mode) group (obs/obs.h).
 //
 // Registries support merge() as an associative parallel reduction, mirroring
 // RunningStats::merge: the runner's per-seed workers each install a private
@@ -36,7 +37,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/stats.h"
 
@@ -109,45 +109,14 @@ class MetricTimer {
   std::atomic<std::uint64_t> max_ns_{0};
 };
 
-/// Histogram stats as exported to JSON. Percentiles are bucket-interpolated
-/// (Histogram::quantile) and 0 when the histogram is empty.
-struct HistogramStat {
-  double lo = 0;
-  double hi = 0;
-  std::uint64_t total = 0;
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
-  std::vector<std::uint64_t> counts;
-};
-
-/// Fixed-bucket distribution; wraps util/stats Histogram with a mutex (each
-/// runner worker owns its registry, so the lock is uncontended in practice).
-class MetricHistogram {
- public:
-  MetricHistogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  HistogramStat stat() const;
-  /// Requires identical bucket configuration.
-  void merge_from(const MetricHistogram& other);
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  Histogram hist_;
-};
-
 /// Plain-data snapshot of a registry, ready for export or comparison.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, GaugeStat> gauges;
   std::map<std::string, TimerStat> timers;
-  std::map<std::string, HistogramStat> histograms;
 
   bool empty() const {
-    return counters.empty() && gauges.empty() && timers.empty() &&
-           histograms.empty();
+    return counters.empty() && gauges.empty() && timers.empty();
   }
 };
 
@@ -162,8 +131,6 @@ class MetricsRegistry {
   MetricCounter& counter(const std::string& name);
   MetricGauge& gauge(const std::string& name);
   MetricTimer& timer(const std::string& name);
-  MetricHistogram& histogram(const std::string& name, double lo, double hi,
-                             std::size_t buckets);
 
   /// Folds `other` into *this, as if every observation had been recorded
   /// here. Associative and commutative (up to gauge `last`, which is
@@ -180,7 +147,6 @@ class MetricsRegistry {
   std::map<std::string, MetricCounter> counters_;
   std::map<std::string, MetricGauge> gauges_;
   std::map<std::string, MetricTimer> timers_;
-  std::map<std::string, MetricHistogram> histograms_;
 };
 
 /// Process-wide default registry (intentionally leaked: safe to use from
@@ -204,11 +170,9 @@ class MetricsScope {
   bool installed_;
 };
 
-/// Thread-local metric-name label, used to split per-policy instruments
-/// (e.g. "sim.response_hist.ours"). Empty by default.
+/// Thread-local policy label ("ours", "lru", ...). The obs, flight, audit
+/// and DES shards read it to tag their records. Empty by default.
 const std::string& current_metric_label();
-/// `base` when no label is active, `base + "." + label` otherwise.
-std::string labeled_metric(const std::string& base);
 
 class MetricLabelScope {
  public:

@@ -131,61 +131,6 @@ void Histogram::add(double x) {
     i = std::min(i, counts_.size() - 1);
   }
   ++counts_[i];
-  ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  MMR_CHECK_MSG(other.lo_ == lo_ && other.hi_ == hi_ &&
-                    other.counts_.size() == counts_.size(),
-                "Histogram::merge requires identical bucket configuration");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  MMR_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_high(std::size_t i) const {
-  MMR_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  return quantile_from_bucket_counts(lo_, hi_, counts_, q);
-}
-
-double quantile_from_bucket_counts(double lo, double hi,
-                                   const std::vector<std::uint64_t>& counts,
-                                   double q) {
-  MMR_CHECK_MSG(hi > lo && !counts.empty(), "quantile needs a bucket range");
-  MMR_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile q out of range: " << q);
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  MMR_CHECK_MSG(total > 0, "quantile on an empty histogram");
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  // Rank of the q-th sample under the same convention as SampleSet::quantile
-  // (0 -> first sample, 1 -> last sample).
-  const double rank = q * static_cast<double>(total - 1);
-  double below = 0;  // samples in buckets before i
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const auto in_bucket = static_cast<double>(counts[i]);
-    if (in_bucket > 0 && rank < below + in_bucket) {
-      // Spread the bucket's samples evenly across its width.
-      const double frac = (rank - below + 0.5) / in_bucket;
-      return lo + (static_cast<double>(i) + frac) * width;
-    }
-    below += in_bucket;
-  }
-  // rank == total-1 landed past the loop due to rounding: last occupied
-  // bucket's upper edge.
-  for (std::size_t i = counts.size(); i-- > 0;) {
-    if (counts[i] > 0) return lo + static_cast<double>(i + 1) * width;
-  }
-  return lo;
 }
 
 std::string Histogram::ascii(std::size_t max_width) const {
@@ -200,8 +145,9 @@ std::string Histogram::ascii(std::size_t max_width) const {
                         static_cast<double>(peak) *
                         static_cast<double>(max_width));
     char buf[64];
-    std::snprintf(buf, sizeof buf, "[%8.2f,%8.2f) %8llu ", bucket_low(i),
-                  bucket_high(i),
+    std::snprintf(buf, sizeof buf, "[%8.2f,%8.2f) %8llu ",
+                  lo_ + width_ * static_cast<double>(i),
+                  lo_ + width_ * static_cast<double>(i + 1),
                   static_cast<unsigned long long>(counts_[i]));
     os << buf << std::string(bar, '#') << '\n';
   }

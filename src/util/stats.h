@@ -69,46 +69,25 @@ class SampleSet {
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets. Used for response-time distribution reporting.
+/// edge buckets. Renders response-time distributions as ASCII bar charts;
+/// quantiles come from SampleSet or the obs QuantileSketch instead.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  /// Adds another histogram's counts (parallel reduction). Requires an
-  /// identical [lo, hi) range and bucket count.
-  void merge(const Histogram& other);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t count_in_bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t total() const { return total_; }
-  double bucket_low(std::size_t i) const;
-  double bucket_high(std::size_t i) const;
-  /// Approximate quantile via linear interpolation inside the bucket that
-  /// holds the q-th sample, q in [0, 1]. Requires a non-empty histogram.
-  /// Accuracy is bounded by the bucket width (clamped out-of-range samples
-  /// report the edge-bucket bounds).
-  double quantile(double q) const;
-  /// Renders a compact ASCII bar chart.
+  /// Renders a compact ASCII bar chart, one line per bucket.
   std::string ascii(std::size_t max_width = 50) const;
 
  private:
   double lo_, hi_, width_;
   std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Linear-interpolation quantile over an ascending-sorted, non-empty sample
 /// vector, q in [0, 1]. The array backing SampleSet::quantile, exposed for
 /// callers that already hold sorted data (bench stats, benchdiff).
 double quantile_sorted(const std::vector<double>& sorted, double q);
-
-/// Bucket-interpolated quantile over fixed-width bucket counts spanning
-/// [lo, hi), q in [0, 1]. Requires a non-zero total count. The engine behind
-/// Histogram::quantile, exposed for callers holding exported bucket counts
-/// (metrics snapshots, BENCH artifacts).
-double quantile_from_bucket_counts(double lo, double hi,
-                                   const std::vector<std::uint64_t>& counts,
-                                   double q);
 
 /// Relative difference (a - b) / b, guarded against b == 0.
 double relative_increase(double a, double b);

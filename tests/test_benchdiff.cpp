@@ -172,7 +172,7 @@ TEST(BenchDiff, MinAbsFloorIgnoresTinyDeltas) {
             SeriesVerdict::kRegression);
 }
 
-TEST(BenchDiff, UnmatchedSeriesAreReportedNotFailed) {
+TEST(BenchDiff, MissingSeriesFailsNewSeriesPasses) {
   const BenchArtifact base =
       artifact({{"gone_s", 1.0, 0.0}, {"stays_s", 1.0, 0.0}});
   const BenchArtifact cand =
@@ -186,7 +186,43 @@ TEST(BenchDiff, UnmatchedSeriesAreReportedNotFailed) {
   EXPECT_EQ(r.series[1].verdict, SeriesVerdict::kMissing);
   EXPECT_EQ(r.series[2].verdict, SeriesVerdict::kPass);
   EXPECT_EQ(r.unmatched, 2u);
-  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.missing, 1u);
+  EXPECT_EQ(r.regressions, 0u);
+  // A gated series that vanished (renamed, no longer emitted) fails.
+  EXPECT_FALSE(r.ok());
+  EXPECT_STREQ(r.verdict(), "missing");
+  std::ostringstream table;
+  write_benchdiff_table(table, r);
+  EXPECT_NE(table.str().find("gone_s"), std::string::npos);
+  EXPECT_NE(table.str().find("verdict: MISSING"), std::string::npos);
+  std::ostringstream json;
+  write_benchdiff_json(json, r, BenchDiffOptions{});
+  const JsonValue v = json_parse(json.str());
+  EXPECT_EQ(v.at("verdict").str_v, "missing");
+  EXPECT_EQ(v.at("missing").num_v, 1.0);
+  EXPECT_EQ(v.at("series").at(std::size_t{1}).at("name").str_v, "gone_s");
+  EXPECT_EQ(v.at("series").at(std::size_t{1}).at("verdict").str_v, "missing");
+
+  // Only the candidate grew a series: that passes.
+  const BenchDiffReport grown =
+      diff_bench_artifacts(cand, artifact({{"stays_s", 1.0, 0.0},
+                                           {"fresh_s", 1.0, 0.0},
+                                           {"extra_s", 1.0, 0.0}}),
+                           BenchDiffOptions{});
+  EXPECT_EQ(grown.unmatched, 1u);
+  EXPECT_TRUE(grown.ok());
+  EXPECT_STREQ(grown.verdict(), "pass");
+}
+
+TEST(BenchDiff, MissingSeriesOutsideTheFilterIsIgnored) {
+  const BenchArtifact base =
+      artifact({{"a.wall_s", 1.0, 0.0}, {"a.timer.gone", 1.0, 0.0}});
+  const BenchArtifact cand = artifact({{"a.wall_s", 1.0, 0.0}});
+  BenchDiffOptions opt;
+  opt.filters = {"wall_s"};
+  EXPECT_TRUE(diff_bench_artifacts(base, cand, opt).ok());
+  opt.filters = {"wall_s", "timer"};
+  EXPECT_FALSE(diff_bench_artifacts(base, cand, opt).ok());
 }
 
 TEST(BenchDiff, FilterRestrictsComparedSeries) {

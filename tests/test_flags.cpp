@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "../bench/bench_common.h"
@@ -128,6 +129,22 @@ TEST(Flags, GetCountAcceptsOnlyZeroToMax) {
     EXPECT_NE(std::string(e.what()).find("--n must be in [0, 100]"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// The 32-bit count flags (--shards, --concurrency, --queue-cap, --servers,
+// --runs, --epochs, ...) all read through get_count's default bound: a value
+// a uint32 cast would wrap (2^32 + 1 -> 1, -1 -> 2^32 - 1) is an error, and
+// --shards=0 still means "unsharded".
+TEST(Flags, GetCountDefaultBoundRejectsWrappingValues) {
+  EXPECT_EQ(parse({"p", "--shards=0"}).get_count("shards", 16), 0u);
+  EXPECT_EQ(parse({"p", "--queue-cap=4294967295"}).get_count("queue-cap", 8),
+            4294967295u);
+  for (const char* bad : {"--shards=4294967297", "--shards=4294967296",
+                          "--concurrency=-1", "--servers=-1"}) {
+    const Flags f = parse({"p", bad});
+    const std::string name = std::string(bad + 2, std::strchr(bad, '='));
+    EXPECT_THROW(f.get_count(name, 1), CheckError) << bad;
   }
 }
 

@@ -4,21 +4,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "baselines/static_policies.h"
+#include "core/policy.h"
 #include "obs/artifact_outputs.h"
 #include "obs/heavy_hitters.h"
 #include "obs/sketch.h"
 #include "obs/sketch_artifact.h"
 #include "obs/window.h"
 #include "sim/runner.h"
+#include "sim/simulator.h"
 #include "test_helpers.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
+#include "workload/generator.h"
 
 namespace mmr {
 namespace {
@@ -501,6 +507,60 @@ TEST_F(ObsTest, ArtifactBytesIdenticalAcrossThreadCounts) {
   // And the artifact parses strictly.
   const SketchDoc doc = parse_sketch_jsonl(serial);
   EXPECT_FALSE(doc.of_type("sketch").empty());
+}
+
+// ---------------------------------------------------------------------------
+// The sketch is the simulator's one response-tail structure: on the paper's
+// Table 1 workload its per-policy quantiles must match the exact samples
+// and reach the real tail, far past the 60 s clip of the fixed-bucket
+// histogram it replaced.
+
+TEST_F(ObsTest, SimulatorSketchTracksExactTableOneTails) {
+  const SystemModel sys = generate_workload(WorkloadParams{}, 42);
+  const Assignment ours =
+      run_replication_policy(sys, PolicyOptions{}).assignment;
+  const Assignment local = make_local_assignment(sys);
+  const Assignment remote = make_remote_assignment(sys);
+  SimParams params;
+  params.requests_per_server = 2000;
+  params.capture_samples = true;
+  const Simulator sim(sys, params);
+
+  set_obs_enabled(true);
+  std::map<std::string, SampleSet> exact;
+  for (const auto& [policy, asg] :
+       {std::pair<std::string, const Assignment*>{"ours", &ours},
+        {"local", &local},
+        {"remote", &remote},
+        {"lru", nullptr}}) {
+    MetricLabelScope label(policy);
+    exact[policy] = asg == nullptr ? sim.simulate_lru(11).page_samples
+                                   : sim.simulate(*asg, 11).page_samples;
+  }
+  set_obs_enabled(false);
+
+  std::ostringstream os;
+  write_sketch_jsonl(os, global_obs_log().snapshot(), obs_config(),
+                     global_obs_log().dropped(), RunMeta{});
+  const SketchDoc doc = parse_sketch_jsonl(os.str());
+  const double alpha = obs_config().alpha;
+  std::size_t checked = 0;
+  for (const JsonValue* e : doc.of_type("sketch")) {
+    if (e->at("metric").str_v != "response") continue;
+    const std::string& policy = e->at("policy").str_v;
+    ASSERT_EQ(exact.count(policy), 1u) << policy;
+    const SampleSet& samples = exact.at(policy);
+    ASSERT_EQ(e->at("count").num_v, static_cast<double>(samples.count()));
+    for (const auto& [key, q] : {std::pair<const char*, double>{"p50", 0.50},
+                                 {"p99", 0.99}}) {
+      const double truth = samples.quantile(q);
+      EXPECT_NEAR(e->at(key).num_v, truth, truth * alpha * 1.0001)
+          << policy << " " << key;
+    }
+    EXPECT_GT(e->at("p99").num_v, 60.0) << policy;
+    ++checked;
+  }
+  EXPECT_EQ(checked, exact.size());
 }
 
 // ---------------------------------------------------------------------------

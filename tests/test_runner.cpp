@@ -117,9 +117,10 @@ TEST(Runner, ScenarioPopulatesMetrics) {
   EXPECT_GT(s.timers.at("solver.partition").total_s, 0.0);
   // Disabled phases still appear, with zero samples.
   EXPECT_EQ(s.timers.at("solver.local_search").count, 0u);
-  EXPECT_EQ(s.histograms.at("sim.response_hist.ours").total,
-            std::uint64_t{cfg.runs} * cfg.workload.num_servers *
-                cfg.sim.requests_per_server);
+  // Every simulated request is bound by exactly one pipeline.
+  EXPECT_EQ(
+      s.counters.at("sim.local_bound") + s.counters.at("sim.remote_bound"),
+      s.counters.at("sim.requests"));
   EXPECT_EQ(s.gauges.at("runner.response.ours").count, 1u);
 }
 

@@ -22,7 +22,8 @@
 //       [--quiet]         suppress the human table (summary line only)
 //
 // Exit codes: 0 = no regressions (improvements are fine), 1 = at least one
-// regression, 2 = usage or I/O error. The CI perf gate runs this against
+// regression or a selected baseline series missing from the candidate,
+// 2 = usage or I/O error. The CI perf gate runs this against
 // bench/baselines/BENCH_suite.json with
 // --filter=wall_s --filter=peak_rss_bytes --rel=0.25 --mem-rel=0.35.
 #include <fstream>
@@ -95,10 +96,7 @@ int main(int argc, char** argv) {
               << candidate.git_describe << " (" << candidate.timestamp_utc
               << ")\n\n";
     if (flags.get_bool("quiet", false)) {
-      std::cout << "verdict: " << (report.ok() ? "PASS" : "REGRESSION")
-                << " (" << report.regressions << " regressions, "
-                << report.improvements << " improvements, " << report.passes
-                << " within noise, " << report.unmatched << " unmatched)\n";
+      write_benchdiff_summary(std::cout, report);
     } else {
       write_benchdiff_table(std::cout, report);
     }
