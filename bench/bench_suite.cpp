@@ -9,7 +9,10 @@
 // Components are pinned so trajectories stay comparable across commits:
 //   micro_core        --quick      (google-benchmark, s/iter series)
 //   micro_structures  --quick
-//   fig1_storage      --quick      (solver + simulator end to end)
+//   fig1_storage      --quick --threads=1  (solver + simulator end to end;
+//                                          one thread, so its wall time
+//                                          and peak RSS do not follow the
+//                                          host's core count)
 //   dist_response     --quick --obs  (response-time distribution tails,
 //                                     sketch gauges for the p99 gate)
 // Suite series are the component series prefixed "<component>.". Exit code
@@ -35,7 +38,8 @@ struct Component {
 constexpr Component kComponents[] = {
     {"micro_core", "micro_core", "--quick"},
     {"micro_structures", "micro_structures", "--quick"},
-    {"fig1_storage", "fig1_storage", "--quick --runs=2 --requests=500"},
+    {"fig1_storage", "fig1_storage",
+     "--quick --runs=2 --requests=500 --threads=1"},
     {"dist_response", "dist_response", "--quick --requests=1000 --obs"},
 };
 

@@ -132,15 +132,10 @@ void exact_split(const SystemModel& sys, PageId j,
 /// Optional bits for page j straight from the precomputed benefit flags.
 template <typename SetOpt>
 void mark_optional(const SystemModel& sys, PageId j,
-                   const PartitionOptions& options,
-                   const std::uint8_t* allowed, SetOpt&& set) {
+                   const PartitionOptions& options, SetOpt&& set) {
   const Page& p = sys.page(j);
   for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-    const bool permitted =
-        allowed == nullptr || allowed[p.optional[idx].object] != 0;
-    const bool wanted =
-        options.store_all_optional || sys.opt_beneficial(j, idx);
-    set(idx, permitted && wanted);
+    set(idx, options.store_all_optional || sys.opt_beneficial(j, idx));
   }
 }
 
@@ -157,7 +152,7 @@ void compute_page_rows(const SystemModel& sys, Assignment& asg, PageId j,
     greedy_split(sys, j,
                  [comp](std::uint32_t idx, bool local) { comp[idx] = local; });
   }
-  mark_optional(sys, j, options, nullptr,
+  mark_optional(sys, j, options,
                 [opt](std::uint32_t idx, bool local) { opt[idx] = local; });
 }
 
@@ -228,7 +223,7 @@ void partition_page(const SystemModel& sys, Assignment& asg, PageId j,
   greedy_split(sys, j, [&](std::uint32_t idx, bool local) {
     asg.set_comp_local(j, idx, local);
   });
-  mark_optional(sys, j, options, nullptr, [&](std::uint32_t idx, bool local) {
+  mark_optional(sys, j, options, [&](std::uint32_t idx, bool local) {
     asg.set_opt_local(j, idx, local);
   });
 }
@@ -242,7 +237,7 @@ void partition_page_exact(const SystemModel& sys, Assignment& asg, PageId j,
   for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
     asg.set_comp_local(j, idx, scratch[idx] != 0);
   }
-  mark_optional(sys, j, options, nullptr, [&](std::uint32_t idx, bool local) {
+  mark_optional(sys, j, options, [&](std::uint32_t idx, bool local) {
     asg.set_opt_local(j, idx, local);
   });
 }

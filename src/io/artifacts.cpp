@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -15,12 +17,6 @@
 namespace mmr {
 
 namespace {
-
-std::string json_number(double v) {
-  std::ostringstream os;
-  JsonWriter(os).value(v);
-  return os.str();
-}
 
 void write_run_meta(JsonWriter& w, const RunMeta& meta, bool timestamp) {
   w.key("run_meta").begin_object();
@@ -138,12 +134,15 @@ void write_artifact_file(const std::string& path,
 }
 
 std::string read_artifact_text(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(),
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream is(path, std::ios::binary);
+  MMR_CHECK_MSG(!ec && is.good(),
                 "artifact '" + path + "' is missing or unreadable");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  std::string text = buffer.str();
+  std::string text(static_cast<std::size_t>(size), '\0');
+  is.read(text.data(), static_cast<std::streamsize>(size));
+  MMR_CHECK_MSG(is.gcount() == static_cast<std::streamsize>(size),
+                "artifact '" + path + "' is missing or unreadable");
   MMR_CHECK_MSG(text.find_first_not_of(" \t\r\n") != std::string::npos,
                 "artifact '" + path + "' is empty");
   return text;
@@ -192,11 +191,11 @@ void parse_jsonl(const std::string& text, const JsonlSchema& schema,
                  JsonlDoc& doc) {
   bool have_header = false;
   std::size_t line_no = 0;
-  std::string line;
-  for (std::size_t pos = 0; pos < text.size();) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    line.assign(text, pos, end - pos);
+  const std::string_view all(text);
+  for (std::size_t pos = 0; pos < all.size();) {
+    std::size_t end = all.find('\n', pos);
+    if (end == std::string_view::npos) end = all.size();
+    const std::string_view line = all.substr(pos, end - pos);
     pos = end + 1;
     ++line_no;
     if (line.empty()) continue;

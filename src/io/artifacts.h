@@ -68,8 +68,8 @@ void write_trace_json(std::ostream& os, Tracer& tracer, const RunMeta& meta);
 void write_artifact_file(const std::string& path,
                          const std::function<void(std::ostream&)>& body);
 
-/// Reads a whole artifact file. Throws CheckError when it is missing,
-/// unreadable or blank.
+/// Reads a whole artifact file in one sized read. Throws CheckError when it
+/// is missing, not a regular file, unreadable or blank.
 std::string read_artifact_text(const std::string& path);
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "io/serialize.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -223,25 +224,24 @@ void save_assignment(const Assignment& asg, std::ostream& os) {
   const SystemModel& sys = asg.system();
   os << kAssignmentHeader << '\n';
   os << "pages " << sys.num_pages() << '\n';
+  // Each page line is built in one reused buffer and written at once.
+  std::string line;
+  const auto append_bits = [&](const std::uint8_t* bits, std::size_t n) {
+    if (n == 0) line += '-';
+    for (std::size_t idx = 0; idx < n; ++idx) line += bits[idx] ? '1' : '0';
+  };
   for (PageId j = 0; j < sys.num_pages(); ++j) {
     const Page& p = sys.page(j);
-    os << "page " << j << ' ';
-    if (p.compulsory.empty()) {
-      os << '-';
-    } else {
-      for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-        os << (asg.comp_local(j, idx) ? '1' : '0');
-      }
-    }
-    os << ' ';
-    if (p.optional.empty()) {
-      os << '-';
-    } else {
-      for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-        os << (asg.opt_local(j, idx) ? '1' : '0');
-      }
-    }
-    os << '\n';
+    char id[16];
+    const auto id_end = std::to_chars(id, id + sizeof id, j).ptr;
+    line.assign("page ");
+    line.append(id, id_end);
+    line += ' ';
+    append_bits(asg.comp_row(j), p.compulsory.size());
+    line += ' ';
+    append_bits(asg.opt_row(j), p.optional.size());
+    line += '\n';
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
   }
   MMR_CHECK_MSG(os.good(), "stream failure while writing assignment");
 }

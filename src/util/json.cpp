@@ -1,54 +1,110 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 
 namespace mmr {
 
-std::string json_escape(const std::string& s) {
+namespace {
+
+bool needs_escape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+/// The escape sequence of a character needs_escape() accepts.
+std::string_view escape_sequence(unsigned char c, char (&buf)[8]) {
+  switch (c) {
+    case '"':
+      return "\\\"";
+    case '\\':
+      return "\\\\";
+    case '\b':
+      return "\\b";
+    case '\f':
+      return "\\f";
+    case '\n':
+      return "\\n";
+    case '\r':
+      return "\\r";
+    case '\t':
+      return "\\t";
+    default:
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      return {buf, 6};
+  }
+}
+
+/// Calls `emit` with the escaped form of `s` in pieces: each unescaped run
+/// as one view into `s`, each escaped character as its sequence.
+template <typename Emit>
+void escape_runs(std::string_view s, Emit&& emit) {
+  char buf[8];
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (!needs_escape(c)) continue;
+    if (i > run) emit(s.substr(run, i - run));
+    emit(escape_sequence(c, buf));
+    run = i + 1;
+  }
+  if (run < s.size()) emit(s.substr(run));
+}
+
+/// `v` in decimal, written into `buf` (room for any 64-bit value).
+template <typename Int>
+std::string_view integer_chars(Int v, char (&buf)[24]) {
+  const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  escape_runs(s, [&](std::string_view piece) { out += piece; });
   return out;
+}
+
+std::string_view json_number_into(double v, char (&buf)[kJsonNumberChars]) {
+  if (!std::isfinite(v)) return "null";
+  // The standard defines this as printf("%.17g"), the bytes an ostream at
+  // max_digits10 writes, without the stream and locale machinery.
+  const char* end =
+      std::to_chars(buf, buf + kJsonNumberChars, v, std::chars_format::general,
+                    std::numeric_limits<double>::max_digits10)
+          .ptr;
+  return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+std::string json_number(double v) {
+  char buf[kJsonNumberChars];
+  return std::string(json_number_into(v, buf));
+}
+
+JsonWriter::JsonWriter(std::ostream& os) : os_(os), buf_(*os.rdbuf()) {}
+
+void JsonWriter::put(char c) {
+  if (buf_.sputc(c) == std::char_traits<char>::eof()) {
+    os_.setstate(std::ios::badbit);
+  }
+}
+
+void JsonWriter::put(std::string_view s) {
+  const auto n = static_cast<std::streamsize>(s.size());
+  if (buf_.sputn(s.data(), n) != n) os_.setstate(std::ios::badbit);
+}
+
+void JsonWriter::put_string(std::string_view s) {
+  put('"');
+  escape_runs(s, [&](std::string_view piece) { put(piece); });
+  put('"');
 }
 
 void JsonWriter::before_value() {
@@ -59,14 +115,14 @@ void JsonWriter::before_value() {
   if (!stack_.empty()) {
     MMR_CHECK_MSG(!stack_.back().first,
                   "JSON object members need key() before the value");
-    if (stack_.back().second > 0) os_ << ',';
+    if (stack_.back().second > 0) put(',');
     ++stack_.back().second;
   }
 }
 
 JsonWriter& JsonWriter::begin_object() {
   before_value();
-  os_ << '{';
+  put('{');
   stack_.emplace_back(true, 0);
   return *this;
 }
@@ -75,13 +131,13 @@ JsonWriter& JsonWriter::end_object() {
   MMR_CHECK_MSG(!stack_.empty() && stack_.back().first,
                 "end_object() without begin_object()");
   stack_.pop_back();
-  os_ << '}';
+  put('}');
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   before_value();
-  os_ << '[';
+  put('[');
   stack_.emplace_back(false, 0);
   return *this;
 }
@@ -90,68 +146,63 @@ JsonWriter& JsonWriter::end_array() {
   MMR_CHECK_MSG(!stack_.empty() && !stack_.back().first,
                 "end_array() without begin_array()");
   stack_.pop_back();
-  os_ << ']';
+  put(']');
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   MMR_CHECK_MSG(!stack_.empty() && stack_.back().first && !pending_key_,
                 "key() is only valid directly inside an object");
-  if (stack_.back().second > 0) os_ << ',';
+  if (stack_.back().second > 0) put(',');
   ++stack_.back().second;
-  os_ << '"' << json_escape(k) << "\":";
+  put_string(k);
+  put(':');
   pending_key_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  os_ << '"' << json_escape(v) << '"';
+  put_string(v);
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
-
 JsonWriter& JsonWriter::value(double v) {
   before_value();
-  if (!std::isfinite(v)) {
-    os_ << "null";
-    return *this;
-  }
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  os_ << tmp.str();
+  char buf[kJsonNumberChars];
+  put(json_number_into(v, buf));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  os_ << v;
+  char buf[24];
+  put(integer_chars(v, buf));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
-  os_ << v;
+  char buf[24];
+  put(integer_chars(v, buf));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   before_value();
-  os_ << (v ? "true" : "false");
+  put(v ? "true" : "false");
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
   before_value();
-  os_ << "null";
+  put("null");
   return *this;
 }
 
-JsonWriter& JsonWriter::raw(const std::string& raw) {
+JsonWriter& JsonWriter::raw(std::string_view raw) {
   before_value();
-  os_ << raw;
+  put(raw);
   return *this;
 }
 
@@ -172,7 +223,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
@@ -409,14 +460,25 @@ class Parser {
     if (!digits) fail("expected a value");
     JsonValue v;
     v.type = JsonValue::Type::kNumber;
-    // strtod stops at the first byte that is not part of the number, which
-    // is where the scan above stopped too.
-    v.num_v = std::strtod(text_.c_str() + start, nullptr);
+    // strtod needs a terminated string and `text_` may be a view into a
+    // larger buffer, so it reads a copy of exactly the scanned bytes.
+    const std::string_view token = text_.substr(start, pos_ - start);
+    char small[64];
+    std::string large;
+    const char* digits_at = small;
+    if (token.size() < sizeof small) {
+      std::memcpy(small, token.data(), token.size());
+      small[token.size()] = '\0';
+    } else {
+      large.assign(token);
+      digits_at = large.c_str();
+    }
+    v.num_v = std::strtod(digits_at, nullptr);
     if (!std::isfinite(v.num_v)) fail("number out of range");
     return v;
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  ///< containers currently open
 };
@@ -431,7 +493,7 @@ std::uint64_t json_count(const JsonValue& v, const char* what) {
   return static_cast<std::uint64_t>(v.num_v);
 }
 
-JsonValue json_parse(const std::string& text) {
+JsonValue json_parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 

@@ -6,9 +6,11 @@
 #include <sstream>
 
 #include "core/partition.h"
+#include "core/policy.h"
 #include "model/cost.h"
 #include "test_helpers.h"
 #include "workload/generator.h"
+#include "workload/scale.h"
 
 namespace mmr {
 namespace {
@@ -169,6 +171,23 @@ TEST(SerializeAssignment, RoundTrip) {
   // Caches agree too (loaded was built via set_* calls).
   EXPECT_NEAR(objective_total_cached(loaded, {2, 1}),
               objective_total_cached(asg, {2, 1}), 1e-6);
+}
+
+// Recorded before save_assignment built each page line in one buffer: the
+// placement file of a solved small-tier instance, byte for byte.
+TEST(SerializeAssignment, SmallTierPlacementBytesPinned) {
+  const SystemModel sys = generate_workload(scale_params(ScaleTier::kSmall), 11);
+  const PolicyResult solved = run_replication_policy(sys);
+  std::ostringstream os;
+  save_assignment(solved.assignment, os);
+  const std::string text = os.str();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(text.size(), 126471u);
+  EXPECT_EQ(h, 0xbfc48fe803e29236u);
 }
 
 TEST(SerializeAssignment, RejectsWrongSystem) {
