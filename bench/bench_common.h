@@ -73,9 +73,6 @@ struct ArtifactState {
   std::uint32_t warmup = 0;
   RunMeta meta;
   std::chrono::steady_clock::time_point start;
-  /// Metrics snapshot at the end of the previous repetition, so each rep's
-  /// bench samples are deltas rather than cumulative totals.
-  MetricsSnapshot last_snapshot;
 };
 
 inline ArtifactState& artifact_state() {
@@ -215,10 +212,9 @@ inline Flags standard_flags(int argc, const char* const* argv) {
 ///   harness.wall_s — wall time of the body,
 ///   harness.cpu_user_s / harness.cpu_sys_s — rusage CPU-time deltas,
 ///   harness.peak_rss_bytes — process high-water RSS after the rep,
-///   plus per-rep metrics deltas (timer.*, gauge.*) via
-///   record_metrics_delta, which is where solver wall-time, final D and
-///   (with --obs) the sketch's response-time percentiles enter the BENCH
-///   artifact.
+///   plus the per-rep gauge.* values via record_gauge_series, which is
+///   where final D and (with --obs) the sketch's response-time percentiles
+///   enter the BENCH artifact.
 /// Output is printed by the first repetition only. Returns the harness exit
 /// code (always 0; kept as the return value so mains can `return` it).
 template <typename Body>
@@ -227,7 +223,6 @@ inline int run_measured(Body&& body) {
   const bool collect = !state.bench_path.empty();
   const std::uint32_t total =
       collect ? state.warmup + state.reps : 1;
-  if (collect) state.last_snapshot = current_metrics().snapshot();
   for (std::uint32_t rep = 0; rep < total; ++rep) {
     detail::CoutSilencer quiet(rep > 0);
     const CpuTimes cpu0 = process_cpu_times();
@@ -238,7 +233,7 @@ inline int run_measured(Body&& body) {
             .count();
     const CpuTimes cpu1 = process_cpu_times();
     // Main-thread only, before the snapshot: the sketch-derived obs.*
-    // gauges must land in this rep's metrics delta deterministically
+    // gauges must land in this rep's gauge series deterministically
     // (gauge merge order is thread-dependent for worker-set gauges).
     if (obs_enabled()) set_obs_gauges();
     if (collect) {
@@ -251,9 +246,7 @@ inline int run_measured(Body&& body) {
       // series is flat across reps once the footprint is established.
       bench_collector().record("harness.peak_rss_bytes", "B",
                                static_cast<double>(peak_rss_bytes()));
-      const MetricsSnapshot cur = current_metrics().snapshot();
-      record_metrics_delta(bench_collector(), state.last_snapshot, cur);
-      state.last_snapshot = std::move(cur);
+      record_gauge_series(bench_collector(), current_metrics().snapshot());
     }
   }
   return 0;

@@ -135,20 +135,6 @@ PolicyResult run_replication_policy(const SystemModel& sys,
   PolicyResult result = {Assignment(sys), 0, 0, 0, 0, {}, {}, {}, {}, true};
   const Weights& w = options.weights;
 
-  // Pre-register every phase timer so exported snapshots always carry the
-  // full per-phase set (disabled phases show count 0).
-  const bool m = metrics_enabled();
-  MetricTimer* t_partition = m ? &current_metrics().timer("solver.partition")
-                               : nullptr;
-  MetricTimer* t_storage =
-      m ? &current_metrics().timer("solver.storage_restore") : nullptr;
-  MetricTimer* t_processing =
-      m ? &current_metrics().timer("solver.processing_restore") : nullptr;
-  MetricTimer* t_offload = m ? &current_metrics().timer("solver.offload")
-                             : nullptr;
-  MetricTimer* t_refine = m ? &current_metrics().timer("solver.local_search")
-                            : nullptr;
-
   TraceSpan policy_span("policy");
 
   // Shard plan (contiguous weight-balanced server groups). Purely an
@@ -169,9 +155,7 @@ PolicyResult run_replication_policy(const SystemModel& sys,
   std::vector<HeadroomStamp> headroom;
 
   {
-    ScopedTimer timed(t_partition);
-    MMR_TRACE_SPAN("partition");
-    TelemetryPhaseScope phase_scope("partition");
+    PhaseScope phase("partition");
     partition_all(sys, result.assignment, options.partition, options.pool,
                   plan);
   }
@@ -186,9 +170,7 @@ PolicyResult run_replication_policy(const SystemModel& sys,
   // carried forward instead of re-summing O(pages) terms for nothing.
   if (options.restore_storage_enabled) {
     {
-      ScopedTimer timed(t_storage);
-      MMR_TRACE_SPAN("storage_restore");
-      TelemetryPhaseScope phase_scope("storage_restore");
+      PhaseScope phase("storage_restore");
       result.storage_report = restore_storage(
           sys, result.assignment, w, options.storage, options.pool, plan);
     }
@@ -204,9 +186,7 @@ PolicyResult run_replication_policy(const SystemModel& sys,
 
   if (options.restore_processing_enabled) {
     {
-      ScopedTimer timed(t_processing);
-      MMR_TRACE_SPAN("processing_restore");
-      TelemetryPhaseScope phase_scope("processing_restore");
+      PhaseScope phase("processing_restore");
       result.processing_report = restore_processing(
           sys, result.assignment, w, options.processing, options.pool, plan);
     }
@@ -222,9 +202,7 @@ PolicyResult run_replication_policy(const SystemModel& sys,
 
   if (options.offload_enabled) {
     {
-      ScopedTimer timed(t_offload);
-      MMR_TRACE_SPAN("offload");
-      TelemetryPhaseScope phase_scope("offload");
+      PhaseScope phase("offload");
       result.offload_report = offload_repository(
           sys, result.assignment, w, options.offload, options.pool, plan);
     }
@@ -240,9 +218,7 @@ PolicyResult run_replication_policy(const SystemModel& sys,
   }
 
   if (options.refine_enabled) {
-    ScopedTimer timed(t_refine);
-    MMR_TRACE_SPAN("local_search");
-    TelemetryPhaseScope phase_scope("local_search");
+    PhaseScope phase("local_search");
     result.refine_report =
         refine_local_search(sys, result.assignment, w, options.refine);
   }

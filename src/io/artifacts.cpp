@@ -98,18 +98,6 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
   }
   w.end_object();
 
-  w.key("timers").begin_object();
-  for (const auto& [name, t] : snapshot.timers) {
-    w.key(name).begin_object();
-    w.kv("count", t.count);
-    w.kv("total_s", t.total_s);
-    w.kv("mean_s", t.mean_s);
-    w.kv("min_s", t.min_s);
-    w.kv("max_s", t.max_s);
-    w.end_object();
-  }
-  w.end_object();
-
   w.end_object();
   os << '\n';
 }

@@ -1,6 +1,6 @@
 // Machine-readable run artifacts (docs/OBSERVABILITY.md):
 //
-//   metrics.json — a MetricsSnapshot (counters/gauges/timers)
+//   metrics.json — a MetricsSnapshot (counters/gauges)
 //                  plus a run_meta block,
 //   trace.json   — Chrome trace_event JSON with the same run_meta block
 //                  attached under a top-level "run_meta" key (ignored by

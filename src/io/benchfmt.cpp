@@ -272,14 +272,7 @@ BenchCollector& bench_collector() {
   return *g;
 }
 
-void record_metrics_delta(BenchCollector& out, const MetricsSnapshot& prev,
-                          const MetricsSnapshot& cur) {
-  for (const auto& [name, t] : cur.timers) {
-    const auto it = prev.timers.find(name);
-    const TimerStat before = it == prev.timers.end() ? TimerStat{} : it->second;
-    if (t.count == before.count) continue;  // timer untouched this rep
-    out.record("timer." + name, "s", t.total_s - before.total_s);
-  }
+void record_gauge_series(BenchCollector& out, const MetricsSnapshot& cur) {
   for (const auto& [name, g] : cur.gauges) {
     out.record("gauge." + name, "1", g.last);
   }

@@ -119,15 +119,10 @@ class BenchCollector {
 /// metrics registry; intentionally leaked for atexit writers).
 BenchCollector& bench_collector();
 
-/// Records per-repetition deltas between two metrics snapshots into `out`:
-///   timer.<name> — delta total_s per rep, only for timers that ran this
-///                  rep (count moved), so a phase that ran before the
-///                  first snapshot leaves no all-zero series   [s, lower]
+/// Records one repetition's gauge values into `out`:
 ///   gauge.<name> — the gauge's `last` value                   [1, lower]
-/// This is how solver wall-time and quality metrics (final D, the obs
-/// response/stretch quantile gauges) flow from the metrics registry into
-/// BENCH artifacts.
-void record_metrics_delta(BenchCollector& out, const MetricsSnapshot& prev,
-                          const MetricsSnapshot& cur);
+/// This is how quality metrics (final D, the obs response/stretch quantile
+/// gauges) flow from the metrics registry into BENCH artifacts.
+void record_gauge_series(BenchCollector& out, const MetricsSnapshot& cur);
 
 }  // namespace mmr

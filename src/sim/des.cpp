@@ -126,10 +126,9 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
   MMR_CHECK_MSG(static_cast<std::uint64_t>(n) * per_server < kOptionalOwner,
                 "too many total requests for 32-bit request indices");
 
-  TelemetryPhaseScope phase_scope("simulate_des");
-  TraceSpan span("simulate_des");
-  if (span.active() && !current_metric_label().empty()) {
-    span.arg("policy", current_metric_label());
+  PhaseScope phase("simulate_des");
+  if (phase.span().active() && !current_metric_label().empty()) {
+    phase.span().arg("policy", current_metric_label());
   }
 
   DesMetrics m;

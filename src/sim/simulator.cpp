@@ -278,10 +278,9 @@ SimMetrics Simulator::simulate(const Assignment& asg,
   SimMetricHandles mh = SimMetricHandles::acquire();
   FlightContext flight = FlightContext::acquire(FlightMode::kStatic);
   ObsContext obs = ObsContext::acquire(FlightMode::kStatic);
-  TelemetryPhaseScope phase_scope("simulate");
-  TraceSpan span("simulate");
-  if (span.active() && !current_metric_label().empty()) {
-    span.arg("policy", current_metric_label());
+  PhaseScope phase("simulate");
+  if (phase.span().active() && !current_metric_label().empty()) {
+    phase.span().arg("policy", current_metric_label());
   }
 
   // The pipeline byte totals are fixed per page for a static placement;
@@ -438,8 +437,7 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
   SimMetricHandles mh = SimMetricHandles::acquire();
   FlightContext flight = FlightContext::acquire(FlightMode::kLru);
   ObsContext obs = ObsContext::acquire(FlightMode::kLru);
-  TelemetryPhaseScope phase_scope("simulate_lru");
-  MMR_TRACE_SPAN("simulate_lru");
+  PhaseScope phase("simulate_lru");
   EventQueue<OptionalFetch> fetches;
   std::vector<std::uint32_t> picks;  // optional links followed, reused
 
@@ -589,8 +587,7 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
   SimMetricHandles mh = SimMetricHandles::acquire();
   FlightContext flight = FlightContext::acquire(FlightMode::kThreshold);
   ObsContext obs = ObsContext::acquire(FlightMode::kThreshold);
-  TelemetryPhaseScope phase_scope("simulate_threshold");
-  MMR_TRACE_SPAN("simulate_threshold");
+  PhaseScope phase("simulate_threshold");
   EventQueue<OptionalFetch> fetches;
   std::vector<std::uint32_t> picks;  // optional links followed, reused
 

@@ -1,5 +1,6 @@
 #include "util/metrics.h"
 
+#include <chrono>
 #include <vector>
 
 #include "util/check.h"
@@ -64,60 +65,6 @@ void MetricGauge::reset() {
   stats_ = RunningStats();
 }
 
-void MetricTimer::record_ns(std::uint64_t ns) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t cur = min_ns_.load(std::memory_order_relaxed);
-  while (ns < cur &&
-         !min_ns_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
-  }
-  cur = max_ns_.load(std::memory_order_relaxed);
-  while (ns > cur &&
-         !max_ns_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
-  }
-}
-
-TimerStat MetricTimer::stat() const {
-  TimerStat s;
-  s.count = count_.load(std::memory_order_relaxed);
-  constexpr double kNs = 1e-9;
-  s.total_s = static_cast<double>(total_ns_.load(std::memory_order_relaxed)) *
-              kNs;
-  if (s.count > 0) {
-    s.mean_s = s.total_s / static_cast<double>(s.count);
-    s.min_s = static_cast<double>(min_ns_.load(std::memory_order_relaxed)) *
-              kNs;
-    s.max_s = static_cast<double>(max_ns_.load(std::memory_order_relaxed)) *
-              kNs;
-  }
-  return s;
-}
-
-void MetricTimer::merge_from(const MetricTimer& other) {
-  const std::uint64_t n = other.count_.load(std::memory_order_relaxed);
-  if (n == 0) return;
-  count_.fetch_add(n, std::memory_order_relaxed);
-  total_ns_.fetch_add(other.total_ns_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  const std::uint64_t omin = other.min_ns_.load(std::memory_order_relaxed);
-  std::uint64_t cur = min_ns_.load(std::memory_order_relaxed);
-  while (omin < cur && !min_ns_.compare_exchange_weak(
-                           cur, omin, std::memory_order_relaxed)) {
-  }
-  const std::uint64_t omax = other.max_ns_.load(std::memory_order_relaxed);
-  cur = max_ns_.load(std::memory_order_relaxed);
-  while (omax > cur && !max_ns_.compare_exchange_weak(
-                           cur, omax, std::memory_order_relaxed)) {
-  }
-}
-
-void MetricTimer::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  total_ns_.store(0, std::memory_order_relaxed);
-  min_ns_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_ns_.store(0, std::memory_order_relaxed);
-}
-
 MetricCounter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_[name];
@@ -128,11 +75,6 @@ MetricGauge& MetricsRegistry::gauge(const std::string& name) {
   return gauges_[name];
 }
 
-MetricTimer& MetricsRegistry::timer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return timers_[name];
-}
-
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   MMR_CHECK_MSG(&other != this, "cannot merge a registry into itself");
   // Snapshot the other registry's map shape under its lock, then fold each
@@ -140,25 +82,21 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   // internally synchronized).
   std::vector<std::pair<const std::string*, const MetricCounter*>> counters;
   std::vector<std::pair<const std::string*, const MetricGauge*>> gauges;
-  std::vector<std::pair<const std::string*, const MetricTimer*>> timers;
   {
     std::lock_guard<std::mutex> lock(other.mutex_);
     for (const auto& [name, c] : other.counters_) {
       counters.emplace_back(&name, &c);
     }
     for (const auto& [name, g] : other.gauges_) gauges.emplace_back(&name, &g);
-    for (const auto& [name, t] : other.timers_) timers.emplace_back(&name, &t);
   }
   for (const auto& [name, c] : counters) counter(*name).add(c->value());
   for (const auto& [name, g] : gauges) gauge(*name).merge_from(*g);
-  for (const auto& [name, t] : timers) timer(*name).merge_from(*t);
 }
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, t] : timers_) t.reset();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -166,7 +104,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g.stat();
-  for (const auto& [name, t] : timers_) snap.timers[name] = t.stat();
   return snap;
 }
 

@@ -1,12 +1,13 @@
 // Process-wide metrics substrate for the solver, simulator and experiment
 // harness (docs/OBSERVABILITY.md has the metric catalog).
 //
-// Three instrument kinds live in a MetricsRegistry:
+// Two instrument kinds live in a MetricsRegistry:
 //   counters — monotonically increasing uint64 (relaxed atomics),
-//   gauges   — observed value series (last + RunningStats aggregate),
-//   timers   — wall-clock latency accumulators fed by ScopedTimer.
+//   gauges   — observed value series (last + RunningStats aggregate).
 // Response-time distributions are not registry instruments: the obs
-// QuantileSketch records them per (policy, mode) group (obs/obs.h).
+// QuantileSketch records them per (policy, mode) group (obs/obs.h). Phase
+// wall times are not either: they are the PhaseScope trace spans
+// (util/telemetry.h).
 //
 // Registries support merge() as an associative parallel reduction, mirroring
 // RunningStats::merge: the runner's per-seed workers each install a private
@@ -23,7 +24,6 @@
 //
 // Phase-level code uses the macros, which no-op when collection is disabled:
 //
-//   MMR_TIMED("solver.partition");          // RAII wall-clock scope timer
 //   MMR_COUNT("solver.offload.swaps", 1);
 //   MMR_GAUGE("solver.d_after_offload", d);
 //
@@ -32,7 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -84,40 +83,12 @@ class MetricGauge {
   RunningStats stats_;
 };
 
-/// Timer stats in seconds as exported to JSON.
-struct TimerStat {
-  std::uint64_t count = 0;
-  double total_s = 0;
-  double mean_s = 0;
-  double min_s = 0;
-  double max_s = 0;
-};
-
-/// Wall-clock latency accumulator (count/total/min/max in nanoseconds, all
-/// relaxed atomics). Fed by ScopedTimer / MMR_TIMED.
-class MetricTimer {
- public:
-  void record_ns(std::uint64_t ns);
-  TimerStat stat() const;
-  void merge_from(const MetricTimer& other);
-  void reset();
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> min_ns_{UINT64_MAX};
-  std::atomic<std::uint64_t> max_ns_{0};
-};
-
 /// Plain-data snapshot of a registry, ready for export or comparison.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, GaugeStat> gauges;
-  std::map<std::string, TimerStat> timers;
 
-  bool empty() const {
-    return counters.empty() && gauges.empty() && timers.empty();
-  }
+  bool empty() const { return counters.empty() && gauges.empty(); }
 };
 
 class MetricsRegistry {
@@ -130,7 +101,6 @@ class MetricsRegistry {
   /// registry's lifetime (values are never erased, only reset()).
   MetricCounter& counter(const std::string& name);
   MetricGauge& gauge(const std::string& name);
-  MetricTimer& timer(const std::string& name);
 
   /// Folds `other` into *this, as if every observation had been recorded
   /// here. Associative and commutative (up to gauge `last`, which is
@@ -146,7 +116,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;  // guards map shape, not instrument updates
   std::map<std::string, MetricCounter> counters_;
   std::map<std::string, MetricGauge> gauges_;
-  std::map<std::string, MetricTimer> timers_;
 };
 
 /// Process-wide default registry (intentionally leaked: safe to use from
@@ -185,33 +154,9 @@ class MetricLabelScope {
   std::string prev_;
 };
 
-/// Monotonic nanosecond clock shared by timers and the tracer.
+/// Monotonic nanosecond clock shared by the tracer and the telemetry
+/// sampler.
 std::uint64_t monotonic_now_ns();
-
-/// Times its scope into `timer` (nullptr = disabled, zero work).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(MetricTimer* timer) : timer_(timer) {
-    if (timer_ != nullptr) start_ns_ = monotonic_now_ns();
-  }
-  ~ScopedTimer() {
-    if (timer_ != nullptr) timer_->record_ns(monotonic_now_ns() - start_ns_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  MetricTimer* timer_;
-  std::uint64_t start_ns_ = 0;
-};
-
-#define MMR_METRICS_CONCAT_INNER(a, b) a##b
-#define MMR_METRICS_CONCAT(a, b) MMR_METRICS_CONCAT_INNER(a, b)
-
-#define MMR_TIMED(name)                                             \
-  ::mmr::ScopedTimer MMR_METRICS_CONCAT(mmr_timed_, __LINE__)(      \
-      ::mmr::metrics_enabled() ? &::mmr::current_metrics().timer(name) \
-                               : nullptr)
 
 #define MMR_COUNT(name, n)                                  \
   do {                                                      \

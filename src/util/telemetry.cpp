@@ -378,9 +378,10 @@ TimelineSampler& global_timeline_sampler() {
 // ---------------------------------------------------------------------------
 // Phase scope (needs the sampler impl for per-phase perf attribution).
 
-TelemetryPhaseScope::TelemetryPhaseScope(const char* phase)
-    : phase_(phase),
-      prev_(g_phase.exchange(phase, std::memory_order_relaxed)) {
+PhaseScope::PhaseScope(const char* name)
+    : span_(name),
+      name_(name),
+      prev_(g_phase.exchange(name, std::memory_order_relaxed)) {
   TimelineSampler::Impl& i = global_timeline_sampler().impl();
   if (i.perf_active.load(std::memory_order_relaxed)) {
     perf_active_ = true;
@@ -389,7 +390,7 @@ TelemetryPhaseScope::TelemetryPhaseScope(const char* phase)
   }
 }
 
-TelemetryPhaseScope::~TelemetryPhaseScope() {
+PhaseScope::~PhaseScope() {
   g_phase.store(prev_, std::memory_order_relaxed);
   if (!perf_active_) return;
   TimelineSampler::Impl& i = global_timeline_sampler().impl();
@@ -401,7 +402,7 @@ TelemetryPhaseScope::~TelemetryPhaseScope() {
     return a > b ? a - b : 0;
   };
   std::lock_guard<std::mutex> lock(i.mutex);
-  PhasePerfTotals& t = i.phase_perf[phase_];
+  PhasePerfTotals& t = i.phase_perf[name_];
   ++t.entries;
   t.values.cycles += delta(exit.cycles, entry_.cycles);
   t.values.instructions += delta(exit.instructions, entry_.instructions);

@@ -9,9 +9,10 @@
 // non-deterministic. The deterministic byte-accounting plane lives in
 // util/memacct.h; the timeline sampler snapshots both.
 //
-//   * Phase tracking: solver/sim phases publish their name through
-//     TelemetryPhaseScope (a relaxed atomic pointer to a static string) so
-//     each timeline sample can say what the process was doing.
+//   * Phases: each solver/sim phase opens one PhaseScope. It owns the
+//     phase's trace span and publishes the phase name (a relaxed atomic
+//     pointer to a static string) so each timeline sample can say what the
+//     process was doing.
 //   * Progress: ProgressReporter emits a throttled single-line stderr
 //     progress/ETA display (`--progress`) from partition_all /
 //     restore_storage / restore_processing.
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "util/memacct.h"
+#include "util/trace.h"
 
 namespace mmr {
 
@@ -54,20 +56,26 @@ struct PerfCounterValues {
   std::uint64_t branch_misses = 0;
 };
 
-/// RAII publisher of the active phase. `phase` must point to storage that
-/// outlives the scope (string literals in practice). Cost: two relaxed
-/// atomic pointer stores — plus, only while a timeline sampler with live
-/// perf counters is running, a counter read on entry and exit that feeds
-/// the per-phase perf totals.
-class TelemetryPhaseScope {
+/// RAII scope of one solver or simulator phase, the one place a phase is
+/// named. It owns the phase's TraceSpan (recorded only while tracing is
+/// on; per-phase wall time comes from these spans) and publishes `name` as
+/// telemetry_current_phase() until it ends, restoring the enclosing phase.
+/// Only while a timeline sampler with live perf counters is running, it
+/// also reads the counters on entry and exit to feed the per-phase perf
+/// totals. `name` must outlive the scope (string literals in practice).
+class PhaseScope {
  public:
-  explicit TelemetryPhaseScope(const char* phase);
-  ~TelemetryPhaseScope();
-  TelemetryPhaseScope(const TelemetryPhaseScope&) = delete;
-  TelemetryPhaseScope& operator=(const TelemetryPhaseScope&) = delete;
+  explicit PhaseScope(const char* name);
+  ~PhaseScope();
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  /// The phase's span, for attaching args.
+  TraceSpan& span() { return span_; }
 
  private:
-  const char* phase_;
+  TraceSpan span_;  ///< first member: opens first, closes last
+  const char* name_;
   const char* prev_;
   bool perf_active_ = false;
   std::uint64_t perf_epoch_ = 0;  ///< guards against sampler restarts
@@ -158,8 +166,8 @@ struct TimelineSample {
   std::map<std::string, std::uint64_t> metric_deltas;
 };
 
-/// Per-phase perf totals accumulated by TelemetryPhaseScope while the
-/// sampler (with counters available) is running.
+/// Per-phase perf totals accumulated by PhaseScope while the sampler (with
+/// counters available) is running.
 struct PhasePerfTotals {
   std::uint64_t entries = 0;
   PerfCounterValues values;
@@ -191,7 +199,7 @@ class TimelineSampler {
   std::uint64_t dropped() const;
 
  private:
-  friend class TelemetryPhaseScope;  ///< per-phase perf attribution
+  friend class PhaseScope;  ///< per-phase perf attribution
   struct Impl;
   Impl& impl() const;
 };

@@ -3,11 +3,12 @@
 // pipeline run can be opened in chrome://tracing or Perfetto
 // (docs/OBSERVABILITY.md).
 //
-// Disabled by default: MMR_TRACE_SPAN("name") costs one atomic load when
-// tracing is off. When on, span begin/end timestamps and optional key/value
-// args are buffered per thread (the hot path takes only the buffer's own
-// uncontended mutex) and handed to the global tracer when a buffer fills or
-// the thread exits. Spans nest naturally through RAII.
+// Disabled by default: a TraceSpan costs one atomic load when tracing is
+// off. When on, span begin/end timestamps and optional key/value args are
+// buffered per thread (the hot path takes only the buffer's own uncontended
+// mutex) and handed to the global tracer when a buffer fills or the thread
+// exits. Spans nest naturally through RAII. Solver and simulator phases
+// open theirs through PhaseScope (util/telemetry.h).
 //
 //   {
 //     TraceSpan span("offload.round");
@@ -107,12 +108,5 @@ class TraceSpan {
   std::uint64_t start_ns_ = 0;
   std::vector<std::pair<std::string, std::string>> args_;
 };
-
-#define MMR_TRACE_CONCAT_INNER(a, b) a##b
-#define MMR_TRACE_CONCAT(a, b) MMR_TRACE_CONCAT_INNER(a, b)
-
-/// Anonymous scope span (use a named TraceSpan when attaching args).
-#define MMR_TRACE_SPAN(name) \
-  ::mmr::TraceSpan MMR_TRACE_CONCAT(mmr_span_, __LINE__)(name)
 
 }  // namespace mmr

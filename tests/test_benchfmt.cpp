@@ -175,34 +175,18 @@ TEST(BenchCollector, RecordsAndBuilds) {
   EXPECT_EQ(count->stats.count, 1u);
 }
 
-TEST(BenchCollector, MetricsDeltaSeries) {
+TEST(BenchCollector, GaugeSeriesRecordsLastValue) {
   MetricsRegistry reg;
-  reg.timer("solver.total").record_ns(1'000'000'000);  // 1 s
-  reg.timer("solver.setup").record_ns(2'000'000'000);  // before the rep only
-  reg.timer("solver.disabled");                        // never recorded
   reg.gauge("solver.d").set(123.0);
-  const MetricsSnapshot before = reg.snapshot();
-
-  reg.timer("solver.total").record_ns(500'000'000);  // +0.5 s this rep
-  reg.timer("solver.late").record_ns(250'000'000);   // first seen this rep
   reg.gauge("solver.d").set(100.0);
 
   BenchCollector c;
-  record_metrics_delta(c, before, reg.snapshot());
+  record_gauge_series(c, reg.snapshot());
   const BenchArtifact a = c.build("t", RunMeta{}, 0);
-  const BenchMeasurement* timer = a.find("timer.solver.total");
-  ASSERT_NE(timer, nullptr);
-  EXPECT_NEAR(timer->samples.at(0), 0.5, 1e-9);
-  const BenchMeasurement* late = a.find("timer.solver.late");
-  ASSERT_NE(late, nullptr);
-  EXPECT_NEAR(late->samples.at(0), 0.25, 1e-9);
-  // A timer that did not run this rep records no all-zero sample.
-  EXPECT_EQ(a.find("timer.solver.setup"), nullptr);
-  EXPECT_EQ(a.find("timer.solver.disabled"), nullptr);
   const BenchMeasurement* gauge = a.find("gauge.solver.d");
   ASSERT_NE(gauge, nullptr);
   EXPECT_DOUBLE_EQ(gauge->samples.at(0), 100.0);
-  EXPECT_EQ(a.measurements.size(), 3u);
+  EXPECT_EQ(a.measurements.size(), 1u);
 }
 
 }  // namespace

@@ -38,25 +38,6 @@ TEST_F(MetricsTest, CounterAccumulates) {
   EXPECT_NE(&registry_.counter("other"), &c);
 }
 
-TEST_F(MetricsTest, TimerStats) {
-  MetricTimer& t = registry_.timer("t");
-  t.record_ns(1'000'000);    // 1 ms
-  t.record_ns(3'000'000);    // 3 ms
-  const TimerStat s = t.stat();
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_DOUBLE_EQ(s.total_s, 0.004);
-  EXPECT_DOUBLE_EQ(s.mean_s, 0.002);
-  EXPECT_DOUBLE_EQ(s.min_s, 0.001);
-  EXPECT_DOUBLE_EQ(s.max_s, 0.003);
-}
-
-TEST_F(MetricsTest, ScopedTimerRecordsElapsed) {
-  MetricTimer& t = registry_.timer("t");
-  { ScopedTimer timed(&t); }
-  { ScopedTimer noop(nullptr); }
-  EXPECT_EQ(t.stat().count, 1u);
-}
-
 TEST_F(MetricsTest, GaugeTracksLastAndAggregate) {
   MetricGauge& g = registry_.gauge("g");
   g.set(3.0);
@@ -72,16 +53,13 @@ TEST_F(MetricsTest, GaugeTracksLastAndAggregate) {
 
 TEST_F(MetricsTest, ConcurrentCountersFromThreadPool) {
   MetricCounter& c = registry_.counter("c");
-  MetricTimer& t = registry_.timer("t");
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 64;
   constexpr std::size_t kAddsPerTask = 1000;
   pool.parallel_for(kTasks, [&](std::size_t) {
     for (std::size_t i = 0; i < kAddsPerTask; ++i) c.add();
-    t.record_ns(10);
   });
   EXPECT_EQ(c.value(), kTasks * kAddsPerTask);
-  EXPECT_EQ(t.stat().count, kTasks);
 }
 
 TEST_F(MetricsTest, MergeIsAssociative) {
@@ -89,7 +67,6 @@ TEST_F(MetricsTest, MergeIsAssociative) {
   auto fill = [](MetricsRegistry& r, std::uint64_t n, double x) {
     r.counter("c").add(n);
     r.gauge("g").set(x);
-    r.timer("t").record_ns(n * 100);
   };
   MetricsRegistry a1, b1, c1, a2, b2, c2;
   fill(a1, 1, 1.5);
@@ -108,8 +85,6 @@ TEST_F(MetricsTest, MergeIsAssociative) {
   const MetricsSnapshot right = a2.snapshot();
   EXPECT_EQ(left.counters.at("c"), 6u);
   EXPECT_EQ(left.counters, right.counters);
-  EXPECT_EQ(left.timers.at("t").count, right.timers.at("t").count);
-  EXPECT_DOUBLE_EQ(left.timers.at("t").total_s, right.timers.at("t").total_s);
   EXPECT_DOUBLE_EQ(left.gauges.at("g").mean, right.gauges.at("g").mean);
   EXPECT_DOUBLE_EQ(left.gauges.at("g").min, right.gauges.at("g").min);
   EXPECT_DOUBLE_EQ(left.gauges.at("g").max, right.gauges.at("g").max);
@@ -143,7 +118,6 @@ TEST_F(MetricsTest, DisabledMacrosRecordNothing) {
   set_metrics_enabled(false);
   MMR_COUNT("c", 1);
   MMR_GAUGE("g", 1.0);
-  { MMR_TIMED("t"); }
   set_metrics_enabled(true);
   EXPECT_TRUE(registry_.snapshot().empty());
 }
@@ -173,7 +147,6 @@ TEST_F(MetricsTest, ResetClearsValuesKeepsHandles) {
 TEST_F(MetricsTest, JsonRoundTrip) {
   registry_.counter("sim.requests").add(1234);
   registry_.gauge("runner.response").set(3.5);
-  registry_.timer("solver.partition").record_ns(2'000'000);
 
   RunMeta meta;
   meta.tool = "test_metrics";
@@ -191,10 +164,8 @@ TEST_F(MetricsTest, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(root.at("counters").at("sim.requests").num_v, 1234.0);
   EXPECT_DOUBLE_EQ(root.at("gauges").at("runner.response").at("last").num_v,
                    3.5);
-  EXPECT_DOUBLE_EQ(
-      root.at("timers").at("solver.partition").at("total_s").num_v, 0.002);
-  // Exactly the three instrument kinds plus run_meta.
-  EXPECT_EQ(root.obj.size(), 4u);
+  // Exactly the two instrument kinds plus run_meta.
+  EXPECT_EQ(root.obj.size(), 3u);
 }
 
 }  // namespace

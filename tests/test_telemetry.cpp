@@ -19,6 +19,7 @@
 #include "util/memacct.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 #include "workload/generator.h"
 
 namespace mmr {
@@ -143,15 +144,61 @@ TEST_F(MemacctTest, MemoryGaugesAreThreadCountInvariant) {
 TEST(Telemetry, PhaseScopeNestsAndRestores) {
   EXPECT_STREQ(telemetry_current_phase(), "idle");
   {
-    TelemetryPhaseScope outer("partition");
+    PhaseScope outer("partition");
     EXPECT_STREQ(telemetry_current_phase(), "partition");
     {
-      TelemetryPhaseScope inner("storage_restore");
+      PhaseScope inner("storage_restore");
       EXPECT_STREQ(telemetry_current_phase(), "storage_restore");
     }
     EXPECT_STREQ(telemetry_current_phase(), "partition");
   }
   EXPECT_STREQ(telemetry_current_phase(), "idle");
+}
+
+const TraceEvent* find_span(const std::vector<TraceEvent>& events,
+                            const std::string& name) {
+  for (const TraceEvent& e : events) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
+TEST(Telemetry, PhaseScopeRecordsOneSpanOnlyWhileTracing) {
+  const bool saved = trace_enabled();
+  Tracer::instance().clear();
+  set_trace_enabled(false);
+  {
+    PhaseScope off("partition");
+    EXPECT_FALSE(off.span().active());
+    EXPECT_STREQ(telemetry_current_phase(), "partition");
+  }
+  EXPECT_TRUE(Tracer::instance().snapshot().empty());
+
+  set_trace_enabled(true);
+  {
+    PhaseScope outer("partition");
+    EXPECT_TRUE(outer.span().active());
+    outer.span().arg("policy", std::string("ours"));
+    { PhaseScope inner("storage_restore"); }
+  }
+  set_trace_enabled(saved);
+  const std::vector<TraceEvent> events = Tracer::instance().snapshot();
+  Tracer::instance().clear();
+  EXPECT_STREQ(telemetry_current_phase(), "idle");
+
+  ASSERT_EQ(events.size(), 2u);
+  const TraceEvent* outer = find_span(events, "partition");
+  const TraceEvent* inner = find_span(events, "storage_restore");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  ASSERT_EQ(outer->args.size(), 1u);
+  EXPECT_EQ(outer->args[0].first, "policy");
+  EXPECT_EQ(outer->args[0].second, "\"ours\"");
+  EXPECT_TRUE(inner->args.empty());
+  EXPECT_EQ(inner->tid, outer->tid);
+  EXPECT_GE(inner->start_ns, outer->start_ns);
+  EXPECT_LE(inner->start_ns + inner->dur_ns,
+            outer->start_ns + outer->dur_ns);
 }
 
 TEST(Telemetry, ResourceProbesReturnSaneValues) {
@@ -197,7 +244,7 @@ TEST(Telemetry, TimelineSamplerRoundTripsThroughArtifact) {
   sampler.start(options);
   EXPECT_TRUE(sampler.running());
   {
-    TelemetryPhaseScope phase("partition");
+    PhaseScope phase("partition");
     const SystemModel sys = testing::tiny_system();
     (void)run_replication_policy(sys);
     std::this_thread::sleep_for(std::chrono::milliseconds(15));

@@ -32,7 +32,7 @@ TEST(Trace, DisabledRecordsNothing) {
   set_trace_enabled(false);
   Tracer::instance().clear();
   {
-    MMR_TRACE_SPAN("invisible");
+    TraceSpan invisible("invisible");
     TraceSpan span("also_invisible");
     span.arg("k", std::int64_t{1});
   }
@@ -42,7 +42,7 @@ TEST(Trace, DisabledRecordsNothing) {
 TEST_F(TraceTest, NestedSpansShareTidAndContain) {
   {
     TraceSpan outer("outer");
-    { MMR_TRACE_SPAN("inner"); }
+    { TraceSpan inner("inner"); }
   }
   const std::vector<TraceEvent> events = Tracer::instance().snapshot();
   ASSERT_EQ(events.size(), 2u);
@@ -70,8 +70,8 @@ TEST_F(TraceTest, ArgsAreRecorded) {
 }
 
 TEST_F(TraceTest, ThreadExitFlushesWithDistinctTid) {
-  { MMR_TRACE_SPAN("main_span"); }
-  std::thread worker([] { MMR_TRACE_SPAN("worker_span"); });
+  { TraceSpan span("main_span"); }
+  std::thread worker([] { TraceSpan span("worker_span"); });
   worker.join();  // buffer flushed by the worker's thread_local destructor
   const std::vector<TraceEvent> events = Tracer::instance().snapshot();
   ASSERT_EQ(events.size(), 2u);
@@ -98,7 +98,7 @@ TEST_F(TraceTest, ChromeJsonIsWellFormed) {
 }
 
 TEST_F(TraceTest, TraceArtifactCarriesRunMeta) {
-  { MMR_TRACE_SPAN("phase"); }
+  { TraceSpan span("phase"); }
   RunMeta meta;
   meta.tool = "test_trace";
   meta.add("base_seed", std::uint64_t{7});
@@ -114,7 +114,7 @@ TEST_F(TraceTest, SnapshotSeesLiveWorkerSpans) {
   // A pool worker's buffer only used to drain at thread exit; a snapshot
   // taken while the pool is alive must still include its completed spans.
   ThreadPool pool(2);
-  pool.parallel_for(4, [](std::size_t) { MMR_TRACE_SPAN("pool_span"); });
+  pool.parallel_for(4, [](std::size_t) { TraceSpan span("pool_span"); });
   const std::vector<TraceEvent> events = Tracer::instance().snapshot();
   EXPECT_EQ(events.size(), 4u);  // pool threads still parked, nothing lost
   for (const TraceEvent& e : events) EXPECT_EQ(e.name, "pool_span");
@@ -125,7 +125,7 @@ TEST_F(TraceTest, SnapshotSeesLiveWorkerSpans) {
 }
 
 TEST_F(TraceTest, ClearDiscardsEvents) {
-  { MMR_TRACE_SPAN("s"); }
+  { TraceSpan span("s"); }
   Tracer::instance().clear();
   EXPECT_TRUE(Tracer::instance().snapshot().empty());
 }

@@ -13,13 +13,13 @@
 //       [--out=F]          write the report to a file instead of stdout
 //
 // Sections render only when the corresponding artifact is supplied: run
-// summary and solver phase/objective breakdowns from metrics.json, the
-// per-server Eq. 8/9/10 headroom table, off-loading negotiation and
-// replication-degree distribution from the audit log, the top-k slowest
-// pages with local-vs-repository attribution from the flight log, the
-// hottest spans from trace.json, the resource timeline (RSS trajectory,
-// tracked-memory peaks, phase occupancy, hardware counters) from the
-// mmr-timeline artifact, the streaming-telemetry sections (tail
+// summary and objective breakdown from metrics.json, the per-server
+// Eq. 8/9/10 headroom table, off-loading negotiation and replication-degree
+// distribution from the audit log, the top-k slowest pages with
+// local-vs-repository attribution from the flight log, the solver phase
+// times and hottest spans from trace.json, the resource timeline (RSS
+// trajectory, tracked-memory peaks, phase occupancy, hardware counters)
+// from the mmr-timeline artifact, the streaming-telemetry sections (tail
 // trajectory, hot objects, SLO attainment) from the mmr-sketch artifact,
 // and the scale trajectory (solve time and memory vs instance size) from a
 // bench/scale_suite BENCH_scale.json.
@@ -182,38 +182,6 @@ void render_run_summary(const JsonValue& metrics, ReportWriter& out) {
     rows.push_back({key, scalar_to_string(value)});
   }
   out.table({"field", "value"}, rows);
-}
-
-void render_phase_breakdown(const JsonValue& metrics, ReportWriter& out) {
-  out.section("Solver phase times");
-  if (!metrics.has("timers")) {
-    out.para("(metrics.json has no timers block)");
-    return;
-  }
-  const JsonValue& timers = metrics.at("timers");
-  static const char* kPhases[] = {"solver.partition", "solver.storage_restore",
-                                  "solver.processing_restore",
-                                  "solver.offload", "solver.local_search"};
-  double sum = 0;
-  for (const char* name : kPhases) {
-    if (timers.has(name)) sum += num_or(timers.at(name), "total_s", 0);
-  }
-  std::vector<std::vector<std::string>> rows;
-  for (const char* name : kPhases) {
-    if (!timers.has(name)) continue;
-    const JsonValue& t = timers.at(name);
-    const double total = num_or(t, "total_s", 0);
-    rows.push_back(
-        {name, std::to_string(static_cast<std::uint64_t>(
-                   num_or(t, "count", 0))),
-         format_double(total, 4), format_double(num_or(t, "mean_s", 0), 6),
-         sum > 0 ? format_percent(total / sum, 1) : "-"});
-  }
-  if (rows.empty()) {
-    out.para("(no solver.* timers recorded)");
-    return;
-  }
-  out.table({"phase", "count", "total [s]", "mean [s]", "share"}, rows);
 }
 
 void render_objective_trajectory(const JsonValue& metrics, ReportWriter& out) {
@@ -655,23 +623,58 @@ void render_slowest_pages(const std::vector<const JsonValue*>& events,
 }
 
 // ---------------------------------------------------------------------------
-// trace section
+// trace sections
+
+struct SpanAgg {
+  std::uint64_t count = 0;
+  double total_us = 0;
+};
+
+/// Per-phase wall time from the PhaseScope spans of the solver phases, in
+/// pipeline order.
+void render_phase_breakdown(const std::map<std::string, SpanAgg>& by_name,
+                            ReportWriter& out) {
+  out.section("Solver phase times");
+  static const char* kPhases[] = {"partition", "storage_restore",
+                                  "processing_restore", "offload",
+                                  "local_search"};
+  double sum_us = 0;
+  for (const char* name : kPhases) {
+    const auto it = by_name.find(name);
+    if (it != by_name.end()) sum_us += it->second.total_us;
+  }
+  std::vector<std::vector<std::string>> rows;
+  for (const char* name : kPhases) {
+    const auto it = by_name.find(name);
+    if (it == by_name.end()) continue;
+    const SpanAgg& a = it->second;
+    rows.push_back(
+        {name, std::to_string(a.count), format_double(a.total_us / 1e6, 4),
+         format_double(a.total_us / 1e6 / static_cast<double>(a.count), 6),
+         sum_us > 0 ? format_percent(a.total_us / sum_us, 1) : "-"});
+  }
+  if (rows.empty()) {
+    out.para("(no solver phase spans recorded)");
+    return;
+  }
+  out.table({"phase", "count", "total [s]", "mean [s]", "share"}, rows);
+}
 
 void render_trace(const JsonValue& trace, std::size_t top, ReportWriter& out) {
+  std::map<std::string, SpanAgg> by_name;
+  if (trace.has("traceEvents")) {
+    for (const JsonValue& e : trace.at("traceEvents").arr) {
+      SpanAgg& a = by_name[str_or(e, "name", "?")];
+      ++a.count;
+      a.total_us += num_or(e, "dur", 0);
+    }
+  }
+  render_phase_breakdown(by_name, out);
+
   out.section("Hottest trace spans");
   if (!trace.has("traceEvents")) {
     out.para("(trace.json has no traceEvents array)");
     return;
-  }
-  struct SpanAgg {
-    std::uint64_t count = 0;
-    double total_us = 0;
-  };
-  std::map<std::string, SpanAgg> by_name;
-  for (const JsonValue& e : trace.at("traceEvents").arr) {
-    SpanAgg& a = by_name[str_or(e, "name", "?")];
-    ++a.count;
-    a.total_us += num_or(e, "dur", 0);
   }
   if (by_name.empty()) {
     out.para("(no spans recorded)");
@@ -1154,7 +1157,6 @@ int main(int argc, char** argv) {
     if (!metrics_path.empty()) {
       const JsonValue metrics = read_json_file(metrics_path);
       render_run_summary(metrics, out);
-      render_phase_breakdown(metrics, out);
       render_objective_trajectory(metrics, out);
       render_memory_gauges(metrics, out);
       render_queueing(metrics, out);
