@@ -170,9 +170,8 @@ int cmd_simulate_des(const Flags& flags, const SystemModel& sys,
       asg, static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   set_obs_gauges();
   const std::vector<ObsShard> groups = global_obs_log().snapshot();
-  const ObsConfig ocfg = obs_config();
-  QuantileSketch sojourn(ocfg.alpha, ocfg.max_buckets);
-  QuantileSketch stretch(ocfg.alpha, ocfg.max_buckets);
+  QuantileSketch sojourn(kObsAlpha, kObsMaxBuckets);
+  QuantileSketch stretch(kObsAlpha, kObsMaxBuckets);
   MMR_CHECK_MSG(merge_obs_groups(groups, &sojourn, &stretch),
                 "simulation produced no telemetry");
   TextTable t({"metric", "value"});
@@ -220,9 +219,8 @@ int cmd_simulate(const Flags& flags) {
       asg, static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   set_obs_gauges();
   const std::vector<ObsShard> groups = global_obs_log().snapshot();
-  const ObsConfig ocfg = obs_config();
-  QuantileSketch response(ocfg.alpha, ocfg.max_buckets);
-  QuantileSketch stretch(ocfg.alpha, ocfg.max_buckets);
+  QuantileSketch response(kObsAlpha, kObsMaxBuckets);
+  QuantileSketch stretch(kObsAlpha, kObsMaxBuckets);
   MMR_CHECK_MSG(merge_obs_groups(groups, &response, &stretch),
                 "simulation produced no telemetry");
   TextTable t({"metric", "value"});

@@ -121,8 +121,8 @@ void ArtifactOutputs::stamp(RunMeta& meta) const {
              static_cast<std::uint64_t>(flight_sample_every()));
   }
   if (!sketch_.empty()) {
-    const ObsConfig ocfg = obs_config();
-    meta.add("sketch_alpha", ocfg.alpha).add("sketch_window_s", ocfg.window_s);
+    meta.add("sketch_alpha", kObsAlpha)
+        .add("sketch_window_s", obs_config().window_s);
   }
   if (!timeseries_.empty() || !invariants_.empty()) {
     meta.add("ts_window_s", timeseries_config().window_s);

@@ -43,11 +43,10 @@ void set_obs_config(const ObsConfig& config) {
 }
 
 ObsShard::ObsShard(const ObsConfig& config)
-    : response(config.alpha, config.max_buckets),
-      stretch(config.alpha, config.max_buckets),
-      hot(config.hot_capacity),
-      windows(config.window_s, config.slo, config.alpha,
-              config.window_buckets) {}
+    : response(kObsAlpha, kObsMaxBuckets),
+      stretch(kObsAlpha, kObsMaxBuckets),
+      hot(kObsHotCapacity),
+      windows(config.window_s, config.slo, kObsAlpha, kObsWindowBuckets) {}
 
 void ObsShard::observe(PageId page, ServerId server, double t,
                        double response_s, double stretch_x,
@@ -61,7 +60,7 @@ void ObsShard::observe(PageId page, ServerId server, double t,
   response.add_indexed(response_s, idx);
   stretch.add(stretch_x);
   hot.add(pack_hot_key(page, server), miss_cost_s);
-  windows.observe_indexed(t, response_s, idx, stretch_x);
+  windows.observe(t, response_s, idx, stretch_x);
 }
 
 void ObsShard::merge(const ObsShard& other) {
@@ -104,9 +103,8 @@ bool merge_obs_groups(const std::vector<ObsShard>& groups,
 
 void set_obs_gauges() {
   const std::vector<ObsShard> groups = global_obs_log().snapshot();
-  const ObsConfig cfg = obs_config();
-  QuantileSketch response(cfg.alpha, cfg.max_buckets);
-  QuantileSketch stretch(cfg.alpha, cfg.max_buckets);
+  QuantileSketch response(kObsAlpha, kObsMaxBuckets);
+  QuantileSketch stretch(kObsAlpha, kObsMaxBuckets);
   if (!merge_obs_groups(groups, &response, &stretch)) return;
   MMR_GAUGE("obs.requests", static_cast<double>(response.count()));
   MMR_GAUGE("obs.response_p50", response.quantile(0.50));

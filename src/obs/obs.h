@@ -33,12 +33,15 @@ namespace mmr {
 bool obs_enabled();
 void set_obs_enabled(bool enabled);
 
+// Fixed shape of every shard's summaries; the mmr-sketch header and
+// run_meta record them.
+inline constexpr double kObsAlpha = 0.01;  ///< sketch relative error
+inline constexpr std::uint32_t kObsMaxBuckets = 2048;  ///< per-metric span
+inline constexpr std::uint32_t kObsWindowBuckets = 512;  ///< per-window span
+inline constexpr std::uint32_t kObsHotCapacity = 64;  ///< heavy hitters
+
 struct ObsConfig {
-  double alpha = 0.01;               ///< sketch relative-error bound
-  std::uint32_t max_buckets = 2048;  ///< per-metric sketch span
-  std::uint32_t window_buckets = 512;  ///< per-window cell sketch span
-  std::uint32_t hot_capacity = 64;   ///< heavy-hitter entries
-  double window_s = 60.0;            ///< virtual-time window width [s]
+  double window_s = 60.0;  ///< virtual-time window width [s]
   SloConfig slo;
 };
 

@@ -108,10 +108,10 @@ void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
                         const ObsConfig& config, std::uint64_t dropped,
                         const RunMeta& meta) {
   write_jsonl_header(os, "mmr-sketch", meta, [&](JsonWriter& w) {
-    w.kv("alpha", config.alpha);
-    w.kv("gamma", (1.0 + config.alpha) / (1.0 - config.alpha));
-    w.kv("max_buckets", std::uint64_t{config.max_buckets});
-    w.kv("hot_capacity", std::uint64_t{config.hot_capacity});
+    w.kv("alpha", kObsAlpha);
+    w.kv("gamma", (1.0 + kObsAlpha) / (1.0 - kObsAlpha));
+    w.kv("max_buckets", std::uint64_t{kObsMaxBuckets});
+    w.kv("hot_capacity", std::uint64_t{kObsHotCapacity});
     w.kv("window_s", config.window_s);
     w.key("slo").begin_object();
     w.kv("response_s", config.slo.response_s);

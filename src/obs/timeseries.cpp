@@ -49,82 +49,27 @@ void set_timeseries_config(const TimeseriesConfig& config) {
   mutable_config() = config;
 }
 
-StationSeries& StationSeries::operator=(const StationSeries& other) {
-  if (this == &other) return *this;
-  window_s_ = other.window_s_;
-  inv_window_s_ = other.inv_window_s_;
-  max_windows_ = other.max_windows_;
-  cells_ = other.cells_;
-  busy_tail_ = other.busy_tail_;
-  busy_cover_ = other.busy_cover_;
-  hot_index_ = 0;
-  hot_ = nullptr;  // would dangle into other.cells_
-  last_t_ = other.last_t_;
-  prev_occupancy_ = other.prev_occupancy_;
-  arrivals = other.arrivals;
-  served = other.served;
-  redirected = other.redirected;
-  rejected = other.rejected;
-  admitted = other.admitted;
-  occupancy_area_s = other.occupancy_area_s;
-  time_in_station_s = other.time_in_station_s;
-  busy_spread_s = other.busy_spread_s;
-  time_violations = other.time_violations;
-  return *this;
-}
-
 void StationSeries::materialize() const {
   if (busy_tail_.empty()) return;
+  const double width = cells_.window_s();
   std::int64_t covering = 0;
   for (std::size_t w = 0; w < busy_tail_.size(); ++w) {
     covering += busy_cover_[w];
     const double add =
         busy_tail_[w] +
-        (covering > 0 ? static_cast<double>(covering) * window_s_ : 0.0);
-    if (add > 0) cells_[w].busy_s += add;
+        (covering > 0 ? static_cast<double>(covering) * width : 0.0);
+    if (add > 0) cells_.at_index(w).busy_s += add;
   }
   // The ±1 coverage deltas pair up inside the scratch extent, so coverage
   // returns to zero and no busy time extends past it.
   busy_tail_.clear();
   busy_cover_.clear();
-  hot_index_ = 0;
-  hot_ = nullptr;  // cells_[] may have rebalanced the map
-}
-
-void StationSeries::fold_once() {
-  materialize();
-  std::map<std::uint64_t, TsCell> folded;
-  for (const auto& [index, c] : cells_) folded[index >> 1].add(c);
-  cells_.swap(folded);
-  window_s_ *= 2;
-  inv_window_s_ = 1.0 / window_s_;
-  hot_index_ = 0;
-  hot_ = nullptr;  // pointed into the old map
 }
 
 void StationSeries::merge(const StationSeries& other) {
   materialize();
   other.materialize();
-  // Coarsen the finer side to the coarser width; both widths grew from the
-  // same base by doubling, so anything but a power-of-two ratio is a
-  // config mismatch.
-  while (window_s_ < other.window_s_) fold_once();
-  std::uint64_t shift = 0;
-  double w = other.window_s_;
-  while (w < window_s_) {
-    w *= 2;
-    ++shift;
-  }
-  MMR_CHECK_MSG(w == window_s_,
-                "cannot merge station series with different window widths");
-  for (const auto& [index, c] : other.cells_) cells_[index >> shift].add(c);
-  hot_index_ = 0;
-  hot_ = nullptr;  // cells_[] may have rebalanced the map
-  if (max_windows_ > 0) {
-    while (!cells_.empty() && cells_.rbegin()->first >= max_windows_) {
-      fold_once();
-    }
-  }
+  cells_.merge(other.cells_);
   arrivals += other.arrivals;
   served += other.served;
   redirected += other.redirected;
@@ -138,10 +83,7 @@ void StationSeries::merge(const StationSeries& other) {
 }
 
 std::size_t StationSeries::approx_bytes() const {
-  // Red-black nodes carry three pointers + color alongside the payload.
-  return sizeof(*this) +
-         cells_.size() * (sizeof(std::uint64_t) + sizeof(TsCell) +
-                          4 * sizeof(void*)) +
+  return sizeof(*this) + cells_.approx_bytes() +
          busy_tail_.capacity() * sizeof(double) +
          busy_cover_.capacity() * sizeof(std::int64_t);
 }

@@ -33,6 +33,7 @@
 #include "io/artifacts.h"
 #include "io/provenance.h"
 #include "obs/shard_log.h"
+#include "obs/windowed_cells.h"
 #include "util/json.h"
 
 namespace mmr {
@@ -84,39 +85,22 @@ struct TsCell {
     inflight_max = std::max(inflight_max, c.inflight_max);
     busy_s += c.busy_s;
   }
+  std::size_t approx_bytes() const { return sizeof(TsCell); }
 };
 
 /// One station's windowed series plus exact conservation totals. All
 /// mutators must be called in nondecreasing virtual time (backwards steps
 /// are tolerated and counted in time_violations — the auditor's monotone-
-/// time law). The hot path caches the last-touched cell, so in-order event
-/// streams hit the map only when they cross a window boundary.
-///
-/// Windows auto-coarsen: when an event lands at or past window
-/// `max_windows`, the width doubles (cells fold pairwise) until it fits —
-/// the HdrHistogram resize trick applied to time. Coarsening is a pure
-/// function of the station's own event stream, so it cannot perturb the
-/// artifact's byte-stability across shard/thread counts.
+/// time law). The cells live in a WindowedCells container
+/// (obs/windowed_cells.h) with the `max_windows` cap, so the windows
+/// auto-coarsen as the simulated horizon grows.
 class StationSeries {
  public:
-  StationSeries() = default;
-
-  /// Copies drop the hot-cell cache: it points into the source's map.
-  /// Moves keep it — map nodes transfer ownership without relocating.
-  StationSeries(const StationSeries& other) { *this = other; }
-  StationSeries& operator=(const StationSeries& other);
-  StationSeries(StationSeries&&) = default;
-  StationSeries& operator=(StationSeries&&) = default;
-
   void reset(double window_s, std::uint64_t max_windows = 0) {
-    window_s_ = window_s > 0 ? window_s : 1.0;
-    inv_window_s_ = 1.0 / window_s_;
-    max_windows_ = max_windows;
-    cells_.clear();
+    cells_ = WindowedCells<TsCell>(window_s > 0 ? window_s : 1.0,
+                                   max_windows, TsCell{});
     busy_tail_.clear();
     busy_cover_.clear();
-    hot_index_ = 0;
-    hot_ = nullptr;
     arrivals = served = redirected = rejected = admitted = 0;
     occupancy_area_s = time_in_station_s = busy_spread_s = 0;
     time_violations = 0;
@@ -141,27 +125,6 @@ class StationSeries {
   void on_served(double t) {
     ++cell(t).served;
     ++served;
-  }
-
-  /// An admitted job entered service: `time_in_station` is its queue wait
-  /// plus effective service — Little's law's per-job W contribution.
-  void on_admitted(double time_in_station) {
-    ++admitted;
-    time_in_station_s += time_in_station;
-  }
-
-  /// Spreads one service interval [start, end) over the windows it overlaps
-  /// (utilization numerator per window). O(1) no matter how many windows
-  /// the interval spans: only the partial head window (usually the current,
-  /// cache-hot cell) is charged immediately; the tail partial and the count
-  /// of fully covered interiors land in flat per-window scratch vectors —
-  /// plain array stores, no tree walk, no allocation — and are materialized
-  /// into busy_s when the cells are read, folded or merged.
-  void on_service(double start, double end) {
-    if (end <= start) return;
-    fit(end);
-    const std::uint64_t w = window_of(start);
-    spread_from(cell_at(w), w, start, end);
   }
 
   /// Depth sample at an event boundary; also advances the occupancy
@@ -209,14 +172,14 @@ class StationSeries {
     ++rejected;
     sample_into(c, t, queue_len, in_service);
   }
-  /// on_arrival + on_admitted(done−t) + on_service(t, done) + sample: a job
-  /// that started service the instant it arrived.
+  /// on_arrival + on_started(t, 0, done) + sample: a job that started
+  /// service the instant it arrived.
   void on_arrival_started_sampled(double t, double done,
                                   std::uint32_t queue_len,
                                   std::uint32_t in_service) {
     fit(done >= t ? done : t);
-    const std::uint64_t w = window_of(t);
-    TsCell& c = cell_at(w);
+    const std::uint64_t w = cells_.window_of(t);
+    TsCell& c = cells_.at_index(w);
     ++c.arrivals;
     ++arrivals;
     ++admitted;
@@ -224,16 +187,18 @@ class StationSeries {
     if (done > t) spread_from(c, w, t, done);
     sample_into(c, t, queue_len, in_service);
   }
-  /// on_admitted(wait + done−t) + on_service(t, done): a queued job popped
-  /// into a freed slot at t (no sample — the caller samples after the whole
-  /// completion event settles).
+  /// A job entered service at t after queueing `wait` seconds and finishes
+  /// at `done`: it is admitted, adds wait + (done − t) to the time in
+  /// station (Little's law's per-job W contribution) and spreads its
+  /// service [t, done) over the windows. No sample — the caller samples
+  /// after the whole completion event settles.
   void on_started(double t, double wait, double done) {
     ++admitted;
     time_in_station_s += wait + (done - t);
     if (done > t) {
       fit(done);
-      const std::uint64_t w = window_of(t);
-      spread_from(cell_at(w), w, t, done);
+      const std::uint64_t w = cells_.window_of(t);
+      spread_from(cells_.at_index(w), w, t, done);
     }
   }
   /// on_served + sample (completion with no queued successor).
@@ -244,14 +209,14 @@ class StationSeries {
     ++served;
     sample_into(c, t, queue_len, in_service);
   }
-  /// on_admitted(wait + done−t) + on_service(t, done) + on_served + sample:
-  /// a completion at t that hands the slot straight to a queued job.
+  /// on_started(t, wait, done) + on_served + sample: a completion at t that
+  /// hands the slot straight to a queued job.
   void on_complete_started_sampled(double t, double wait, double done,
                                    std::uint32_t queue_len,
                                    std::uint32_t in_service) {
     fit(done >= t ? done : t);
-    const std::uint64_t w = window_of(t);
-    TsCell& c = cell_at(w);
+    const std::uint64_t w = cells_.window_of(t);
+    TsCell& c = cells_.at_index(w);
     ++admitted;
     time_in_station_s += wait + (done - t);
     if (done > t) spread_from(c, w, t, done);
@@ -266,14 +231,13 @@ class StationSeries {
   void merge(const StationSeries& other);
 
   /// Current width: the reset() base doubled once per coarsening fold.
-  double window_s() const { return window_s_; }
-  std::uint64_t max_windows() const { return max_windows_; }
+  double window_s() const { return cells_.window_s(); }
   double last_t() const { return last_t_; }
   /// Settles the pending busy difference map into busy_s first, so readers
   /// always see fully materialized cells.
   const std::map<std::uint64_t, TsCell>& cells() const {
     materialize();
-    return cells_;
+    return cells_.map();
   }
   std::size_t approx_bytes() const;
 
@@ -285,27 +249,19 @@ class StationSeries {
   std::uint64_t admitted = 0;          ///< jobs that entered service
   double occupancy_area_s = 0;         ///< ∫ occupancy dt (Little's L·T)
   double time_in_station_s = 0;        ///< Σ per-job wait + service (λW·T)
-  double busy_spread_s = 0;            ///< Σ intervals given to on_service
+  double busy_spread_s = 0;            ///< Σ service intervals spread
   std::uint64_t time_violations = 0;   ///< backwards virtual-time steps
 
  private:
-  /// Multiply-by-inverse bucketing: one mul beats a divide on the per-event
-  /// hot path, at the price of an occasional ±1 ulp disagreement with exact
-  /// division right on a window boundary. Any consistent bucketing is
-  /// correct — totals stay exact, only which side of a boundary an
-  /// instant lands on can shift — and it is the same every run, so
-  /// byte-stability is unaffected.
-  std::uint64_t window_of(double t) const {
-    return t <= 0 ? 0 : static_cast<std::uint64_t>(t * inv_window_s_);
-  }
-  /// Doubles the width until window_of(t) fits under max_windows_.
+  /// Coarsens until window_of(t) fits under the cap, materializing the
+  /// busy scratch first: it is indexed at the current width.
   void fit(double t) {
-    if (max_windows_ == 0) return;
-    while (window_of(t) >= max_windows_) fold_once();
+    if (cells_.fits(cells_.window_of(t))) return;
+    materialize();
+    cells_.fit(t);
   }
-  void fold_once();
   /// Flushes the busy scratch vectors: each window gains its deferred tail
-  /// partial plus covering-count × window_s_ of busy time. O(scratch size),
+  /// partial plus covering-count × the width of busy time. O(scratch size),
   /// and a no-op when nothing is pending. Logically const — it only settles
   /// deferred bookkeeping — hence the mutable members below.
   void materialize() const;
@@ -325,64 +281,61 @@ class StationSeries {
     if (queue_len > c.depth_max) c.depth_max = queue_len;
     if (in_service > c.inflight_max) c.inflight_max = in_service;
   }
-  /// Core of on_service(): spread [start, end) given the head cell `c` for
-  /// window w = window_of(start). Requires end > start and fit(end) done.
+  /// Spreads one service interval [start, end) over the windows it overlaps
+  /// (utilization numerator per window), given the head cell `c` for window
+  /// w = window_of(start). Requires end > start and fit(end) done. O(1) no
+  /// matter how many windows the interval spans: only the partial head
+  /// window (usually the current, cache-hot cell) is charged immediately;
+  /// the tail partial and the count of fully covered interiors land in flat
+  /// per-window scratch vectors — plain array stores, no tree walk, no
+  /// allocation — and are materialized into busy_s when the cells are
+  /// read, folded or merged.
   void spread_from(TsCell& c, std::uint64_t w, double start, double end) {
     busy_spread_s += end - start;
-    const std::uint64_t w_end = window_of(end);
+    const double width = cells_.window_s();
+    const std::uint64_t w_end = cells_.window_of(end);
     if (w == w_end) {
       c.busy_s += end - start;
       return;
     }
-    c.busy_s += static_cast<double>(w + 1) * window_s_ - start;
+    c.busy_s += static_cast<double>(w + 1) * width - start;
     ensure_busy_scratch(w_end);
     // An interval ending exactly on a boundary leaves nothing for the
     // trailing window; materialize() skips zero entries so no empty cell
     // appears for it.
-    busy_tail_[w_end] += end - static_cast<double>(w_end) * window_s_;
+    busy_tail_[w_end] += end - static_cast<double>(w_end) * width;
     if (w_end > w + 1) {
       ++busy_cover_[w + 1];
       --busy_cover_[w_end];
     }
   }
   /// Grows the scratch vectors (geometrically, clamped to the cell cap) so
-  /// index w is addressable. fit() has already bounded w below max_windows_.
+  /// index w is addressable. fit() has already bounded w below the cap.
   void ensure_busy_scratch(std::uint64_t w) {
     if (w < busy_tail_.size()) return;
     std::size_t n = std::max<std::size_t>(
         static_cast<std::size_t>(w) + 1, busy_tail_.size() * 2);
-    if (max_windows_ != 0 && n > max_windows_) {
-      n = static_cast<std::size_t>(max_windows_);
-    }
+    const std::uint64_t cap = cells_.max_windows();
+    if (cap != 0 && n > cap) n = static_cast<std::size_t>(cap);
     busy_tail_.resize(n, 0.0);
     busy_cover_.resize(n, 0);
   }
   TsCell& cell(double t) {
-    std::uint64_t w = window_of(t);
-    if (max_windows_ != 0 && w >= max_windows_) {
+    std::uint64_t w = cells_.window_of(t);
+    if (!cells_.fits(w)) {
       fit(t);
-      w = window_of(t);
+      w = cells_.window_of(t);
     }
-    return cell_at(w);
-  }
-  TsCell& cell_at(std::uint64_t w) {
-    if (hot_ != nullptr && hot_index_ == w) return *hot_;
-    hot_index_ = w;
-    hot_ = &cells_[w];
-    return *hot_;
+    return cells_.at_index(w);
   }
 
-  double window_s_ = 60.0;
-  double inv_window_s_ = 1.0 / 60.0;
-  std::uint64_t max_windows_ = 0;  ///< cell cap; 0 = never coarsen
-  mutable std::map<std::uint64_t, TsCell> cells_;
+  /// Mutable because cells() materializes the busy scratch into it.
+  mutable WindowedCells<TsCell> cells_{60.0, 0, TsCell{}};
   /// Deferred busy time, indexed by window: tail partials of spread service
   /// intervals, and ±1 interior-coverage deltas (+1 at the first fully
   /// covered window, −1 one past the last; prefix-summed on materialize).
   mutable std::vector<double> busy_tail_;
   mutable std::vector<std::int64_t> busy_cover_;
-  mutable std::uint64_t hot_index_ = 0;
-  mutable TsCell* hot_ = nullptr;  ///< cache into cells_; dropped on copy
   double last_t_ = 0;
   std::uint32_t prev_occupancy_ = 0;
 };

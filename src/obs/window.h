@@ -10,17 +10,19 @@
 // budget exactly at the sustainable rate and burn 10 means the window is
 // failing ten times faster than the SLO allows.
 //
-// Cells merge exactly (sketch merge + counter adds), so per-shard
-// aggregators combined in canonical order are byte-identical to a
-// sequential run.
+// The cells live in a WindowedCells container (obs/windowed_cells.h) with
+// no cell cap: SLO windows never coarsen, so every window keeps the
+// configured width and worst_burn_6 always spans six of them. Cells merge
+// exactly (sketch merge + counter adds), so per-shard aggregators combined
+// in canonical order are byte-identical to a sequential run.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/sketch.h"
+#include "obs/windowed_cells.h"
 
 namespace mmr {
 
@@ -37,6 +39,15 @@ SloConfig parse_slo_spec(const std::string& spec);
 struct WindowCell {
   WindowCell(double alpha, std::uint32_t sketch_buckets)
       : response(alpha, sketch_buckets) {}
+
+  /// Folds `c` in: the sketches merge exactly and the counters add.
+  void add(const WindowCell& c) {
+    response.merge(c.response);
+    good += c.good;
+    total += c.total;
+  }
+  std::size_t approx_bytes() const { return response.approx_bytes(); }
+
   QuantileSketch response;
   std::uint64_t good = 0;
   std::uint64_t total = 0;
@@ -66,47 +77,27 @@ class WindowedAggregator {
   WindowedAggregator(double window_s, SloConfig slo, double alpha = 0.01,
                      std::uint32_t sketch_buckets = 512);
 
-  /// Copies drop the hot-cell cache: it points into the source's map.
-  /// Moves keep it — map nodes transfer ownership without relocating.
-  WindowedAggregator(const WindowedAggregator& other);
-  WindowedAggregator& operator=(const WindowedAggregator& other);
-  WindowedAggregator(WindowedAggregator&&) = default;
-  WindowedAggregator& operator=(WindowedAggregator&&) = default;
-
-  void observe(double t, double response_s, double stretch_x);
-
-  /// observe() with the response bucket index precomputed by a caller
-  /// whose sketch shares this aggregator's alpha (see
-  /// QuantileSketch::add_indexed).
-  void observe_indexed(double t, double response_s,
-                       std::int32_t response_index, double stretch_x);
+  /// Counts one request. `response_index` is the response's log-bucket
+  /// index, precomputed by a caller whose sketch shares this aggregator's
+  /// alpha (see QuantileSketch::add_indexed).
+  void observe(double t, double response_s, std::int32_t response_index,
+               double stretch_x);
 
   /// Exact merge; requires identical (window_s, slo, sketch resolution).
   void merge(const WindowedAggregator& other);
 
   SloReport evaluate() const;
 
-  const std::map<std::uint64_t, WindowCell>& cells() const { return cells_; }
-  double window_s() const { return window_s_; }
+  double window_s() const { return cells_.window_s(); }
   const SloConfig& slo() const { return slo_; }
   std::uint64_t total() const { return total_; }
 
   std::size_t approx_bytes() const;
 
  private:
-  WindowCell& cell_at(double t);
-
-  double window_s_;
   SloConfig slo_;
-  double alpha_;
-  std::uint32_t sketch_buckets_;
   std::uint64_t total_ = 0;
-  std::map<std::uint64_t, WindowCell> cells_;
-  /// Most recently touched cell: virtual time is near-monotone per shard,
-  /// so consecutive observations usually hit the same window and skip the
-  /// map lookup. Valid only while it points into this object's cells_.
-  std::uint64_t last_index_ = 0;
-  WindowCell* last_cell_ = nullptr;
+  WindowedCells<WindowCell> cells_;
 };
 
 }  // namespace mmr

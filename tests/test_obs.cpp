@@ -262,6 +262,18 @@ TEST_F(ObsTest, HotKeyPacking) {
 // ---------------------------------------------------------------------------
 // WindowedAggregator / SLO
 
+/// Feeds one request to `agg` the way ObsShard does: with the response's
+/// log-bucket index at the default alpha.
+void observe(WindowedAggregator& agg, double t, double response_s,
+             double stretch_x) {
+  static const QuantileSketch indexer;
+  agg.observe(t, response_s,
+              response_s <= QuantileSketch::kMinTrackable
+                  ? 0
+                  : indexer.bucket_index(response_s),
+              stretch_x);
+}
+
 TEST_F(ObsTest, ParseSloSpec) {
   const SloConfig a = parse_slo_spec("2.5,1.8,0.95");
   EXPECT_DOUBLE_EQ(a.response_s, 2.5);
@@ -285,10 +297,10 @@ TEST_F(ObsTest, WindowAttainmentAndBurn) {
   WindowedAggregator agg(10.0, slo);
   // Window 0: 8 good, 2 bad (slow). Window 1: 10 good. Window 3 (gap!):
   // 5 bad via stretch even though the response is fast.
-  for (int i = 0; i < 8; ++i) agg.observe(1.0, 0.5, 1.0);
-  for (int i = 0; i < 2; ++i) agg.observe(2.0, 3.0, 1.0);
-  for (int i = 0; i < 10; ++i) agg.observe(12.0, 0.9, 1.9);
-  for (int i = 0; i < 5; ++i) agg.observe(35.0, 0.5, 2.5);
+  for (int i = 0; i < 8; ++i) observe(agg, 1.0, 0.5, 1.0);
+  for (int i = 0; i < 2; ++i) observe(agg, 2.0, 3.0, 1.0);
+  for (int i = 0; i < 10; ++i) observe(agg, 12.0, 0.9, 1.9);
+  for (int i = 0; i < 5; ++i) observe(agg, 35.0, 0.5, 2.5);
 
   const SloReport report = agg.evaluate();
   ASSERT_EQ(report.windows.size(), 3u);
@@ -315,10 +327,10 @@ TEST_F(ObsTest, MultiWindowBurnDilutesTransientSpikes) {
   // Window 0 is all-bad, windows 1..5 are all-good: every 6-window span
   // containing the spike also contains good traffic, so the sustained
   // burn is far below the single-window spike.
-  for (int i = 0; i < 10; ++i) agg.observe(1.0, 5.0, 1.0);
+  for (int i = 0; i < 10; ++i) observe(agg, 1.0, 5.0, 1.0);
   for (int w = 1; w <= 5; ++w) {
     for (int i = 0; i < 10; ++i) {
-      agg.observe(10.0 * w + 1.0, 0.5, 1.0);
+      observe(agg, 10.0 * w + 1.0, 0.5, 1.0);
     }
   }
   const SloReport report = agg.evaluate();
@@ -336,8 +348,8 @@ TEST_F(ObsTest, WindowMergeMatchesSequential) {
     const double t = rng.uniform(0.0, 200.0);
     const double resp = std::exp(rng.uniform(-2.0, 1.5));
     const double stretch = 1.0 + rng.uniform() * 0.8;
-    all.observe(t, resp, stretch);
-    (i % 2 ? a : b).observe(t, resp, stretch);
+    observe(all, t, resp, stretch);
+    observe(i % 2 ? a : b, t, resp, stretch);
   }
   a.merge(b);
   const SloReport ra = a.evaluate(), rall = all.evaluate();
@@ -350,6 +362,57 @@ TEST_F(ObsTest, WindowMergeMatchesSequential) {
     EXPECT_DOUBLE_EQ(ra.windows[i].p99_s, rall.windows[i].p99_s);
   }
   EXPECT_DOUBLE_EQ(ra.worst_burn_6, rall.worst_burn_6);
+}
+
+TEST_F(ObsTest, WindowMergeRejectsDifferentSloOrWidth) {
+  SloConfig slo;
+  WindowedAggregator a(10.0, slo);
+  observe(a, 1.0, 0.5, 1.0);
+  // Widths a power of two apart still differ: SLO windows never fold.
+  WindowedAggregator wider(20.0, slo);
+  EXPECT_THROW(a.merge(wider), CheckError);
+  for (double SloConfig::*field :
+       {&SloConfig::response_s, &SloConfig::stretch_x, &SloConfig::target}) {
+    SloConfig other = slo;
+    other.*field *= 0.5;
+    WindowedAggregator b(10.0, other);
+    EXPECT_THROW(a.merge(b), CheckError);
+  }
+  EXPECT_EQ(a.total(), 1u);  // a rejected merge leaves the target intact
+}
+
+TEST_F(ObsTest, WindowCopyDropsHotCellCacheSafely) {
+  SloConfig slo;
+  WindowedAggregator a(10.0, slo);
+  observe(a, 5.0, 0.5, 1.0);
+  WindowedAggregator b = a;  // copy must not alias a's hot-cell cache
+  observe(b, 5.0, 0.5, 1.0);  // would write through a dangling cache
+  observe(b, 15.0, 0.5, 1.0);
+  WindowedAggregator c(10.0, slo);
+  c = b;
+  observe(c, 15.0, 0.5, 1.0);
+  const SloReport ra = a.evaluate(), rb = b.evaluate(), rc = c.evaluate();
+  ASSERT_EQ(ra.windows.size(), 1u);
+  EXPECT_EQ(ra.windows[0].total, 1u);
+  ASSERT_EQ(rb.windows.size(), 2u);
+  EXPECT_EQ(rb.windows[0].total, 2u);
+  EXPECT_EQ(rb.windows[1].total, 1u);
+  ASSERT_EQ(rc.windows.size(), 2u);
+  EXPECT_EQ(rc.windows[1].total, 2u);
+  EXPECT_EQ(b.total(), 3u);
+  EXPECT_EQ(c.total(), 4u);
+}
+
+TEST_F(ObsTest, SloWindowsNeverCoarsen) {
+  SloConfig slo;
+  WindowedAggregator agg(1.0, slo);
+  // Far past the station series' default 512-cell cap.
+  for (int w = 0; w < 2000; w += 100) observe(agg, w + 0.5, 0.5, 1.0);
+  EXPECT_DOUBLE_EQ(agg.window_s(), 1.0);
+  const SloReport report = agg.evaluate();
+  ASSERT_EQ(report.windows.size(), 20u);
+  EXPECT_EQ(report.windows.back().index, 1900u);
+  EXPECT_DOUBLE_EQ(report.windows.back().t_start_s, 1900.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,14 +487,14 @@ TEST_F(ObsTest, ArtifactRoundTrip) {
   // Rebuild the response sketch from its serialized buckets and check the
   // p99 agrees with the source within the doubled relative-error bound.
   const JsonValue* line = doc.of_type("sketch")[0];
-  QuantileSketch rebuilt(cfg.alpha, cfg.max_buckets);
+  QuantileSketch rebuilt(kObsAlpha, kObsMaxBuckets);
   for (const JsonValue& pair : line->at("buckets").arr) {
     rebuilt.add_bucket(static_cast<std::int32_t>(pair.at(0).num_v),
                        static_cast<std::uint64_t>(pair.at(1).num_v));
   }
   const double source_p99 = groups[0].response.quantile(0.99);
   EXPECT_NEAR(rebuilt.quantile(0.99), source_p99,
-              source_p99 * 2 * cfg.alpha);
+              source_p99 * 2 * kObsAlpha);
 }
 
 TEST_F(ObsTest, ParserRejectsCorruptDocs) {
@@ -543,7 +606,7 @@ TEST_F(ObsTest, SimulatorSketchTracksExactTableOneTails) {
   write_sketch_jsonl(os, global_obs_log().snapshot(), obs_config(),
                      global_obs_log().dropped(), RunMeta{});
   const SketchDoc doc = parse_sketch_jsonl(os.str());
-  const double alpha = obs_config().alpha;
+  const double alpha = kObsAlpha;
   std::size_t checked = 0;
   for (const JsonValue* e : doc.of_type("sketch")) {
     if (e->at("metric").str_v != "response") continue;

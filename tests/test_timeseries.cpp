@@ -55,16 +55,14 @@ TimeseriesShard make_shard() {
   StationSeries& s = sh.server(0);
   // One job: arrives at t=1, service [1, 4), done.
   s.on_arrival(1);
-  s.on_admitted(3.0);
-  s.on_service(1, 4);
+  s.on_started(1, 0, 4);
   s.sample(1, 0, 1);
   s.on_served(4);
   s.sample(4, 0, 0);
   StationSeries& r = sh.repository();
   // One repository job crossing the window boundary: service [8, 12).
   r.on_arrival(8);
-  r.on_admitted(4.0);
-  r.on_service(8, 12);
+  r.on_started(8, 0, 12);
   r.sample(8, 0, 1);
   r.on_served(12);
   r.sample(12, 0, 0);
@@ -105,17 +103,20 @@ TEST_F(TimeseriesTest, WindowBucketing) {
 TEST_F(TimeseriesTest, BusySpreadAcrossWindowBoundaries) {
   StationSeries s;
   s.reset(10.0);
-  s.on_service(5.0, 27.0);  // overlaps windows 0, 1, 2
+  s.on_started(5.0, 1.5, 27.0);  // service overlaps windows 0, 1, 2
   EXPECT_DOUBLE_EQ(s.busy_spread_s, 22.0);
+  EXPECT_EQ(s.admitted, 1u);
+  EXPECT_DOUBLE_EQ(s.time_in_station_s, 23.5);  // wait + service
   ASSERT_EQ(s.cells().size(), 3u);
   EXPECT_DOUBLE_EQ(s.cells().at(0).busy_s, 5.0);
   EXPECT_DOUBLE_EQ(s.cells().at(1).busy_s, 10.0);
   EXPECT_DOUBLE_EQ(s.cells().at(2).busy_s, 7.0);
 
-  // Zero-length and inverted intervals are no-ops.
-  s.on_service(3.0, 3.0);
-  s.on_service(9.0, 8.0);
+  // Zero-length and inverted intervals spread no busy time.
+  s.on_started(3.0, 0.0, 3.0);
+  s.on_started(9.0, 0.0, 8.0);
   EXPECT_DOUBLE_EQ(s.busy_spread_s, 22.0);
+  EXPECT_DOUBLE_EQ(s.cells().at(0).busy_s, 5.0);
 }
 
 TEST_F(TimeseriesTest, OccupancyIntegralAndDepthStats) {
@@ -168,13 +169,13 @@ TEST_F(TimeseriesTest, MergeSumsCellsAndTotals) {
   StationSeries a;
   a.reset(10.0);
   a.on_arrival(5.0);
-  a.on_service(0.0, 4.0);
+  a.on_started(0.0, 0.0, 4.0);
   a.sample(4.0, 2, 1);
   StationSeries b;
   b.reset(10.0);
   b.on_arrival(5.0);
   b.on_arrival(15.0);
-  b.on_service(2.0, 8.0);
+  b.on_started(2.0, 0.0, 8.0);
   b.sample(8.0, 1, 3);
   a.merge(b);
   EXPECT_EQ(a.arrivals, 3u);
@@ -200,7 +201,7 @@ TEST_F(TimeseriesTest, MergeCoarsensTheFinerSeries) {
   fine.reset(10.0);  // same base, one fold behind
   fine.on_arrival(5.0);
   fine.on_arrival(15.0);
-  fine.on_service(8.0, 12.0);
+  fine.on_started(8.0, 0.0, 12.0);
   coarse.merge(fine);
   EXPECT_DOUBLE_EQ(coarse.window_s(), 20.0);
   EXPECT_EQ(coarse.cells().size(), 1u);  // fine's windows 0 and 1 fold in
@@ -229,9 +230,9 @@ TEST_F(TimeseriesTest, WindowsCoarsenToStayUnderTheCellCap) {
   }
   EXPECT_EQ(s.arrivals, 16u);
 
-  // Busy time survives folding exactly, and on_service itself coarsens
+  // Busy time survives folding exactly, and on_started itself coarsens
   // (t = 32 on the cap boundary folds twice: width 4 → 8 → 16).
-  s.on_service(0.0, 32.0);
+  s.on_started(0.0, 0.0, 32.0);
   EXPECT_DOUBLE_EQ(s.window_s(), 16.0);
   EXPECT_EQ(s.cells().size(), 2u);
   double busy = 0;

@@ -143,6 +143,12 @@ std::string scalar_to_string(const JsonValue& v) {
   }
 }
 
+/// A fraction (share, utilization, attainment) as an unsigned percentage,
+/// 0.638 -> "63.8%". format_percent is the signed relative-change form.
+std::string percent_of(double fraction, int precision = 1) {
+  return format_double(fraction * 100.0, precision) + "%";
+}
+
 std::string server_name(double server) {
   return server < 0 ? "R" : "S" + std::to_string(static_cast<int>(server));
 }
@@ -252,10 +258,10 @@ void render_queueing(const JsonValue& metrics, ReportWriter& out) {
   rows.push_back({"completions", format_double(counter("des.completions"), 0)});
   rows.push_back(
       {"reject rate",
-       arrivals > 0 ? format_percent(rejects / arrivals) : "-"});
+       arrivals > 0 ? percent_of(rejects / arrivals) : "-"});
   rows.push_back(
       {"redirect rate",
-       arrivals > 0 ? format_percent(redirects / arrivals) : "-"});
+       arrivals > 0 ? percent_of(redirects / arrivals) : "-"});
   rows.push_back(
       {"repository jobs", format_double(counter("des.repo_jobs"), 0)});
   rows.push_back(
@@ -268,9 +274,9 @@ void render_queueing(const JsonValue& metrics, ReportWriter& out) {
       return gauges.has(name) ? num_or(gauges.at(name), "max", 0) : 0.0;
     };
     rows.push_back(
-        {"server utilization", format_percent(gauge_max("des.utilization.server"))});
+        {"server utilization", percent_of(gauge_max("des.utilization.server"))});
     rows.push_back(
-        {"repository utilization", format_percent(gauge_max("des.utilization.repo"))});
+        {"repository utilization", percent_of(gauge_max("des.utilization.repo"))});
     rows.push_back({"peak server queue depth",
                     format_double(gauge_max("des.queue_peak.server"), 0)});
     rows.push_back({"peak repository queue depth",
@@ -334,7 +340,7 @@ void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
   std::vector<std::vector<std::string>> prow;
   for (const auto& [phase, n] : phase_samples) {
     prow.push_back({phase, std::to_string(n),
-                    format_percent(static_cast<double>(n) /
+                    percent_of(static_cast<double>(n) /
                                        static_cast<double>(doc.events.size()),
                                    1)});
   }
@@ -467,7 +473,7 @@ void render_solver_decisions(const std::vector<const JsonValue*>& events,
   std::ostringstream os;
   os << partitions << " partition decisions";
   if (partitions > 0) {
-    os << " (" << format_percent(static_cast<double>(local) /
+    os << " (" << percent_of(static_cast<double>(local) /
                                      static_cast<double>(partitions),
                                  1)
        << " placed local)";
@@ -612,7 +618,7 @@ void render_slowest_pages(const std::vector<const JsonValue*>& events,
          format_double(a.response_max, 3),
          format_double(a.t_local_sum / n, 3),
          format_double(a.t_remote_sum / n, 3),
-         format_percent(static_cast<double>(a.remote_bound) / n, 0)});
+         percent_of(static_cast<double>(a.remote_bound) / n, 0)});
   }
   out.para(std::to_string(total) + " sampled requests, " +
            std::to_string(by_page.size()) + " distinct (mode, page) groups.");
@@ -651,7 +657,7 @@ void render_phase_breakdown(const std::map<std::string, SpanAgg>& by_name,
     rows.push_back(
         {name, std::to_string(a.count), format_double(a.total_us / 1e6, 4),
          format_double(a.total_us / 1e6 / static_cast<double>(a.count), 6),
-         sum_us > 0 ? format_percent(a.total_us / sum_us, 1) : "-"});
+         sum_us > 0 ? percent_of(a.total_us / sum_us, 1) : "-"});
   }
   if (rows.empty()) {
     out.para("(no solver phase spans recorded)");
@@ -747,7 +753,7 @@ void render_tail_trajectory(const SketchDoc& doc, std::size_t top,
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
          format_double(num_or(*e, "p99_s", 0), 3),
-         format_percent(num_or(*e, "attainment", 1), 2),
+         percent_of(num_or(*e, "attainment", 1), 2),
          format_double(num_or(*e, "burn", 0), 2)});
   }
   if (wrows.empty()) {
@@ -803,7 +809,7 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
              format_double(num_or(slo, "response_s", 0), 2) +
              " s AND stretch <= " +
              format_double(num_or(slo, "stretch_x", 0), 2) + "x, target " +
-             format_percent(num_or(slo, "target", 0), 1) + " per " +
+             percent_of(num_or(slo, "target", 0), 1) + " per " +
              format_double(num_or(doc.header, "window_s", 0), 0) +
              " s window. Burn 1.0 = failing exactly at the sustainable "
              "rate.");
@@ -816,7 +822,7 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
              static_cast<std::uint64_t>(num_or(*e, "windows", 0))),
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
-         format_percent(num_or(*e, "attainment", 1), 2),
+         percent_of(num_or(*e, "attainment", 1), 2),
          format_double(num_or(*e, "worst_burn_1", 0), 2),
          format_double(num_or(*e, "worst_burn_6", 0), 2)});
   }
@@ -926,7 +932,7 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
   for (const auto& [key, a] : ranked) {
     srows.push_back(
         {key.first, server_name(key.second),
-         format_percent(utilization(key.first, key.second, a.busy)),
+         percent_of(utilization(key.first, key.second, a.busy)),
          format_double(a.peak_depth, 0), format_double(a.peak_t, 1),
          a.first_queue_t < 0 ? "-" : format_double(a.first_queue_t, 1),
          format_double(a.redirected, 0), format_double(a.rejected, 0)});
@@ -952,7 +958,7 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
         {group_label(*w), server_name(num_or(*w, "station", 0)),
          format_double(num_or(*w, "t_start_s", 0), 1),
          format_double(num_or(*w, "depth_max", 0), 0),
-         format_percent(num_or(*w, "util", 0)), format_double(red, 0),
+         percent_of(num_or(*w, "util", 0)), format_double(red, 0),
          format_double(rej, 0)});
   }
   if (orows.empty()) {
