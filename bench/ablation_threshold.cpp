@@ -43,7 +43,7 @@ int main(int argc, char** argv) try {
     const double t_lru = sim.simulate_lru(seed).page_response.mean();
 
     std::cout << "Ablation A8: threshold sensitivity at "
-              << format_percent(storage, 0).substr(1) << " storage\n"
+              << format_share(storage, 0) << " storage\n"
               << "references: ours " << format_double(t_ours, 1)
               << " s, ideal LRU " << format_double(t_lru, 1) << " s\n\n";
 

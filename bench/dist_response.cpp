@@ -49,7 +49,7 @@ int main(int argc, char** argv) try {
     rows.push_back({"Remote", sim.simulate(make_remote_assignment(sys), seed)});
 
     std::cout << "Response-time distributions at "
-              << format_percent(storage, 0).substr(1) << " storage, "
+              << format_share(storage, 0) << " storage, "
               << sp.requests_per_server << " requests/server\n\n";
 
     TextTable t({"policy", "mean [s]", "p50 [s]", "p90 [s]", "p99 [s]",

@@ -40,9 +40,9 @@ int main(int argc, char** argv) try {
     cfg.seed = base.base_seed;
 
     std::cout << "Dynamic drift: " << cfg.drift.epochs << " epochs, "
-              << format_percent(cfg.drift.hot_churn, 0).substr(1)
+              << format_share(cfg.drift.hot_churn, 0)
               << " of the hot set churns per epoch, storage at "
-              << format_percent(wl.storage_fraction, 0).substr(1) << ".\n\n";
+              << format_share(wl.storage_fraction, 0) << ".\n\n";
 
     const DynamicExperimentResult r = run_dynamic_experiment(sys, cfg);
 

@@ -272,8 +272,9 @@ BENCHMARK(BM_FullPolicyPipeline)->Unit(benchmark::kMillisecond);
 
 // Instrumentation-overhead micros: the same work with the provenance
 // recorders on vs. the defaults. The ratio BM_FullPolicyPipelineAudited /
-// BM_FullPolicyPipeline is the price of the full audit trail (decision
-// replay + headroom stamps); the simulate pair prices the flight sampler.
+// BM_FullPolicyPipeline is the price of the full audit trail (eviction,
+// unmark and off-loading events, headroom stamps, replica degrees); the
+// simulate pair prices the flight sampler.
 // These are informational (no harness.wall_s series), so the CI perf gate
 // never flags them.
 void BM_FullPolicyPipelineAudited(benchmark::State& state) {

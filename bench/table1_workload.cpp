@@ -47,7 +47,7 @@ int main(int argc, char** argv) try {
                    format_double(ws.pages_per_server.min(), 0) + "-" +
                    format_double(ws.pages_per_server.max(), 0) + ")"});
     t.add_row({"hot pages (10%) traffic share", "60%",
-               format_percent(ws.measured_hot_traffic_share)});
+               format_share(ws.measured_hot_traffic_share)});
     t.add_row({"compulsory MOs per page", "5-45",
                format_double(ws.compulsory_per_page.min(), 0) + "-" +
                    format_double(ws.compulsory_per_page.max(), 0) + " (mean " +
@@ -56,7 +56,7 @@ int main(int argc, char** argv) try {
                format_double(ws.optional_per_page_when_present.min(), 0) + "-" +
                    format_double(ws.optional_per_page_when_present.max(), 0)});
     t.add_row({"pages with optional MOs", "10%",
-               format_percent(ws.fraction_pages_with_optional)});
+               format_share(ws.fraction_pages_with_optional)});
     t.add_row({"MOs in the network", "15000", std::to_string(ws.num_objects)});
     t.add_row({"distinct MOs per LS", "1500-4500",
                format_double(ws.distinct_objects_per_server.min(), 0) + "-" +
@@ -75,7 +75,7 @@ int main(int argc, char** argv) try {
                       "95% CI"});
     across.begin_row()
         .add_cell("hot traffic share")
-        .add_percent(hot_share.mean())
+        .add_cell(format_share(hot_share.mean()))
         .add_cell(format_double(hot_share.ci95_halfwidth() * 100, 2) + "%");
     across.begin_row()
         .add_cell("mean MO bytes")

@@ -185,8 +185,8 @@ int cmd_simulate_des(const Flags& flags, const SystemModel& sys,
   t.add_row({"p99 sojourn [s]", format_double(sojourn.quantile(0.99), 3)});
   t.add_row({"p99 stretch", format_double(stretch.quantile(0.99), 2)});
   t.add_row({"mean queue wait [s]", format_double(m.wait.mean(), 3)});
-  t.add_row({"server utilization", format_percent(m.server_utilization)});
-  t.add_row({"repository utilization", format_percent(m.repo_utilization)});
+  t.add_row({"server utilization", format_share(m.server_utilization)});
+  t.add_row({"repository utilization", format_share(m.repo_utilization)});
   t.add_row({"peak server queue", std::to_string(m.queue_peak)});
   t.add_row({"peak repository queue", std::to_string(m.repo_queue_peak)});
   t.add_row({"kernel events", std::to_string(m.events)});
@@ -232,7 +232,7 @@ int cmd_simulate(const Flags& flags) {
   t.add_row({"p99.9 [s]", format_double(response.quantile(0.999), 2)});
   t.add_row({"p99 stretch", format_double(stretch.quantile(0.99), 2)});
   const SloReport slo = groups.front().windows.evaluate();
-  t.add_row({"SLO attainment", format_percent(slo.attainment)});
+  t.add_row({"SLO attainment", format_share(slo.attainment)});
   t.add_row({"worst window burn", format_double(slo.worst_burn_1, 2)});
   t.add_row({"mean optional download [s]",
              m.optional_time.empty()

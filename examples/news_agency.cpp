@@ -36,7 +36,7 @@ int main(int argc, char** argv) try {
 
   std::cout << "News agency: 10 sites, hot breaking-news pages (10% of pages"
             << " carry 60% of traffic),\nsite disks at "
-            << format_percent(spec.storage_fraction, 0).substr(1)
+            << format_share(spec.storage_fraction, 0)
             << " of the full-replication footprint, " << cfg.runs
             << " runs x " << cfg.sim.requests_per_server
             << " requests/site.\n\n";

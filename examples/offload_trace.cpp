@@ -56,7 +56,7 @@ int main(int argc, char** argv) try {
             << format_double(repo_load, 2)
             << " req/s to the repository; C(R) set to "
             << format_double(repo_load * central, 2) << " req/s ("
-            << format_percent(central, 0).substr(1) << ").\n"
+            << format_share(central, 0) << ").\n"
             << "Site S0 has almost no processing headroom; the others have "
                "plenty.\n\n";
 

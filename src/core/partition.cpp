@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "io/provenance.h"
 #include "model/shard.h"
 #include "util/check.h"
 #include "util/metrics.h"
@@ -156,56 +155,6 @@ void compute_page_rows(const SystemModel& sys, Assignment& asg, PageId j,
                 [opt](std::uint32_t idx, bool local) { opt[idx] = local; });
 }
 
-/// Audit replay of page j's greedy trajectory. Runs after the placement is
-/// final, reading the decided bits back, so the hot path stays untouched and
-/// the recorder provably cannot perturb the result: the replay re-walks the
-/// same running totals greedy_split kept and emits one PartitionDecision per
-/// compulsory slot. `gain` is the step's min-max view — what the page
-/// response would have been had the object gone to the other side minus what
-/// the chosen side costs (the pipeline-total greedy can make locally
-/// negative-gain steps; recording them is the point of the audit). Exact-DP
-/// pages are replayed the same way: the trajectory explains the chosen bits
-/// even though no greedy produced them.
-void audit_page_partition(const SystemModel& sys, const Assignment& asg,
-                          PageId j, std::uint64_t run,
-                          const std::string& policy,
-                          std::vector<PartitionDecision>& out) {
-  const Page& p = sys.page(j);
-  const std::uint32_t n = sys.comp_offset(j + 1) - sys.comp_offset(j);
-  const std::uint32_t* order = sys.comp_order(j);
-  const double f = p.frequency;
-  double local = sys.page_base_local_time(j);
-  double remote = sys.page_base_remote_time(j);
-  for (std::uint32_t step = 0; step < n; ++step) {
-    const std::uint32_t idx = order[step];
-    const double a = sys.comp_local_xfer(j, idx);
-    const double b = sys.comp_remote_xfer(j, idx);
-    const bool chose_local = asg.comp_local(j, idx);
-    const double before = std::max(local, remote);
-    const double resp_local = std::max(local + a, remote);
-    const double resp_remote = std::max(local, remote + b);
-    if (chose_local) {
-      local += a;
-    } else {
-      remote += b;
-    }
-    PartitionDecision d;
-    d.run = run;
-    d.policy = policy;
-    d.page = j;
-    d.server = p.host;
-    d.object = p.compulsory[idx];
-    d.step = step;
-    d.local = chose_local;
-    d.gain = chose_local ? resp_remote - resp_local : resp_local - resp_remote;
-    d.d1_before = f * before;
-    d.d1_after = f * std::max(local, remote);
-    d.local_after = local;
-    d.remote_after = remote;
-    out.push_back(std::move(d));
-  }
-}
-
 }  // namespace
 
 bool optional_local_beneficial(const SystemModel& sys, PageId j,
@@ -280,20 +229,6 @@ void partition_all(const SystemModel& sys, Assignment& asg,
       progress.tick();
     }
     asg.recompute_caches(pool);
-  }
-  if (audit_enabled()) {
-    // Serial replay over the final bits (cheap arithmetic, no deltas), so
-    // the audit is identical at any thread count and recording cannot
-    // change the placement.
-    std::vector<PartitionDecision> batch;
-    batch.reserve(sys.comp_offset(static_cast<PageId>(pages)));
-    const std::uint64_t run = provenance_run_or_zero();
-    const std::string& policy = current_metric_label();
-    for (std::size_t j = 0; j < pages; ++j) {
-      audit_page_partition(sys, asg, static_cast<PageId>(j), run, policy,
-                           batch);
-    }
-    global_audit_log().add_partitions(std::move(batch));
   }
   MMR_COUNT("solver.partition.pages", sys.num_pages());
   if (options.exact) {

@@ -81,9 +81,6 @@ namespace {
 // Canonical order: producers record per-entity step sequences, so sorting
 // by (run, policy, entity, step) fully determines the artifact bytes
 // regardless of which worker thread appended first.
-auto canonical_key(const PartitionDecision& e) {
-  return std::tie(e.run, e.policy, e.page, e.step);
-}
 auto canonical_key(const EvictionEvent& e) {
   return std::tie(e.run, e.policy, e.server, e.step);
 }
@@ -216,9 +213,8 @@ struct CappedEvents {
 
 struct AuditLog::Impl {
   mutable std::mutex mutex;
-  CappedEvents<PartitionDecision, EvictionEvent, UnmarkEvent,
-               OffloadRoundEvent, OffloadAnswerEvent, HeadroomStamp,
-               ReplicaDegreeEvent>
+  CappedEvents<EvictionEvent, UnmarkEvent, OffloadRoundEvent,
+               OffloadAnswerEvent, HeadroomStamp, ReplicaDegreeEvent>
       events;
 };
 
@@ -230,10 +226,6 @@ AuditLog::Impl& AuditLog::impl() const {
   return *impl;
 }
 
-void AuditLog::add_partitions(std::vector<PartitionDecision>&& batch) {
-  std::lock_guard<std::mutex> lock(impl().mutex);
-  impl().events.add(std::move(batch));
-}
 void AuditLog::add_evictions(std::vector<EvictionEvent>&& batch) {
   std::lock_guard<std::mutex> lock(impl().mutex);
   impl().events.add(std::move(batch));
@@ -286,7 +278,7 @@ AuditSnapshot AuditLog::snapshot() const {
   lock.unlock();
   events.trim();
   AuditSnapshot out;
-  std::tie(out.partitions, out.evictions, out.unmarks, out.offload_rounds,
+  std::tie(out.evictions, out.unmarks, out.offload_rounds,
            out.offload_answers, out.headroom, out.replicas) =
       std::move(events.lists);
   out.dropped = events.dropped;
@@ -377,23 +369,6 @@ void write_event_prefix(JsonWriter& w, const char* type, std::uint64_t run,
 void write_audit_jsonl(std::ostream& os, const AuditSnapshot& snapshot,
                        const RunMeta& meta) {
   write_jsonl_header(os, "mmr-audit", meta);
-  for (const PartitionDecision& e : snapshot.partitions) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "partition", e.run, e.policy);
-    w.kv("page", static_cast<std::uint64_t>(e.page));
-    w.kv("server", server_field(e.server));
-    w.kv("object", static_cast<std::uint64_t>(e.object));
-    w.kv("step", static_cast<std::uint64_t>(e.step));
-    w.kv("local", e.local);
-    w.kv("gain", e.gain);
-    w.kv("d1_before", e.d1_before);
-    w.kv("d1_after", e.d1_after);
-    w.kv("local_after", e.local_after);
-    w.kv("remote_after", e.remote_after);
-    w.end_object();
-    os << '\n';
-  }
   for (const EvictionEvent& e : snapshot.evictions) {
     JsonWriter w(os);
     w.begin_object();

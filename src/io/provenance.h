@@ -1,11 +1,13 @@
 // Decision provenance & per-request flight recorder (docs/OBSERVABILITY.md):
 //
-//   audit  — why the placement looks the way it does: every PARTITION greedy
-//            decision (object, server, gain, page D1 term before/after),
-//            every storage/processing-restore eviction, every repository
-//            off-loading negotiation round, per-server Eq. 8/9/10 headroom
-//            stamps after each solver phase, and the final per-object
-//            replication degree.
+//   audit  — why the placement looks the way it does where the constraints
+//            bind: every storage/processing-restore eviction, every
+//            repository off-loading negotiation round, per-server Eq. 8/9/10
+//            headroom stamps after each solver phase, and the final
+//            per-object replication degree. PARTITION (Sec. 4.2) is not
+//            narrated step by step: each page's bits depend only on the
+//            model, so its result is the placement itself and the
+//            "partition"-phase headroom stamps.
 //   flight — which requests pay for it: sampled per-request records (page,
 //            host, local vs repository pipeline time, winning pipeline,
 //            overload stretch, optional-object outcomes, cache hit/miss)
@@ -86,27 +88,6 @@ void set_next_provenance_scenario(std::uint64_t value);
 // ---------------------------------------------------------------------------
 // Audit events. `run` is the run tag, `policy` the metric label active when
 // the event was recorded ("ours", "unconstrained", ... — util/metrics).
-
-/// One PARTITION greedy step (Sec. 4.2): object placed local or remote on
-/// page `page` hosted at `server`. `gain` is the page response time the
-/// alternative side would have cost minus the chosen side's, in seconds
-/// (negative when the pipeline-total greedy diverges from the min-max step).
-/// d1_before/d1_after are the page's D1 contribution f(W_j)*T(W_j) around
-/// the step (multiply by alpha1 for the Eq. 7 term).
-struct PartitionDecision {
-  std::uint64_t run = 0;
-  std::string policy;
-  PageId page = kInvalidId;
-  ServerId server = kInvalidId;
-  ObjectId object = kInvalidId;
-  std::uint32_t step = 0;  ///< visit position in the page's greedy order
-  bool local = false;
-  double gain = 0;
-  double d1_before = 0;
-  double d1_after = 0;
-  double local_after = 0;   ///< local pipeline total after the step [s]
-  double remote_after = 0;  ///< repository pipeline total after the step [s]
-};
 
 /// One storage-restoration eviction (Eq. 10): object `object` deallocated
 /// from `server`. `criterion` is the heap key (delta-D, amortized by size
@@ -198,7 +179,6 @@ struct ReplicaDegreeEvent {
 
 /// Sorted copies of everything the audit log holds, in canonical order.
 struct AuditSnapshot {
-  std::vector<PartitionDecision> partitions;
   std::vector<EvictionEvent> evictions;
   std::vector<UnmarkEvent> unmarks;
   std::vector<OffloadRoundEvent> offload_rounds;
@@ -208,9 +188,8 @@ struct AuditSnapshot {
   std::uint64_t dropped = 0;
 
   std::size_t total_events() const {
-    return partitions.size() + evictions.size() + unmarks.size() +
-           offload_rounds.size() + offload_answers.size() + headroom.size() +
-           replicas.size();
+    return evictions.size() + unmarks.size() + offload_rounds.size() +
+           offload_answers.size() + headroom.size() + replicas.size();
   }
 };
 
@@ -225,7 +204,6 @@ struct AuditSnapshot {
 /// shares it.
 class AuditLog {
  public:
-  void add_partitions(std::vector<PartitionDecision>&& batch);
   void add_evictions(std::vector<EvictionEvent>&& batch);
   void add_unmarks(std::vector<UnmarkEvent>&& batch);
   void add_offload_rounds(std::vector<OffloadRoundEvent>&& batch);

@@ -123,6 +123,10 @@ std::string format_percent(double fraction, int precision) {
   return os.str();
 }
 
+std::string format_share(double fraction, int precision) {
+  return format_double(fraction * 100.0, precision) + "%";
+}
+
 std::string format_bytes(double bytes) {
   static const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   int u = 0;

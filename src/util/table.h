@@ -48,6 +48,9 @@ class TextTable {
 std::string format_double(double value, int precision = 3);
 /// Formats a fraction as a signed percentage, e.g. 0.335 -> "+33.5%".
 std::string format_percent(double fraction, int precision = 1);
+/// Formats a share (utilization, attainment, traffic share) as an unsigned
+/// percentage, e.g. 0.638 -> "63.8%".
+std::string format_share(double fraction, int precision = 1);
 /// Formats a byte count with binary units, e.g. "1.8 GiB".
 std::string format_bytes(double bytes);
 

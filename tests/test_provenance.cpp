@@ -65,19 +65,24 @@ TEST_F(ProvenanceTest, SampleEveryClampsToOne) {
 }
 
 TEST_F(ProvenanceTest, AuditArtifactRoundTrips) {
-  std::vector<PartitionDecision> parts(2);
-  parts[0].run = 1;
-  parts[0].policy = "ours";
-  parts[0].page = 3;
-  parts[0].server = 0;
-  parts[0].object = 9;
-  parts[0].step = 0;
-  parts[0].local = true;
-  parts[0].gain = 0.5;
-  parts[1] = parts[0];
-  parts[1].step = 1;
-  parts[1].local = false;
-  global_audit_log().add_partitions(std::move(parts));
+  std::vector<EvictionEvent> evictions(1);
+  evictions[0].run = 1;
+  evictions[0].policy = "ours";
+  evictions[0].server = 0;
+  evictions[0].object = 9;
+  evictions[0].bytes = 40;
+  evictions[0].storage_before = 140;
+  evictions[0].storage_after = 100;
+  global_audit_log().add_evictions(std::move(evictions));
+
+  std::vector<UnmarkEvent> unmarks(1);
+  unmarks[0].run = 1;
+  unmarks[0].policy = "ours";
+  unmarks[0].server = 0;
+  unmarks[0].page = 3;
+  unmarks[0].object = 9;
+  unmarks[0].compulsory = true;
+  global_audit_log().add_unmarks(std::move(unmarks));
 
   std::vector<HeadroomStamp> headroom(2);
   headroom[0].run = 1;
@@ -108,10 +113,13 @@ TEST_F(ProvenanceTest, AuditArtifactRoundTrips) {
   EXPECT_EQ(doc.header.at("run_meta").at("tool").str_v, "test");
   EXPECT_EQ(doc.header.at("run_meta").at("seed").num_v, 11);
 
-  EXPECT_EQ(doc.events[0].at("type").str_v, "partition");
+  EXPECT_EQ(doc.events[0].at("type").str_v, "evict");
   EXPECT_EQ(doc.events[0].at("policy").str_v, "ours");
-  EXPECT_TRUE(doc.events[0].at("local").bool_v);
-  EXPECT_FALSE(doc.events[1].at("local").bool_v);
+  EXPECT_EQ(doc.events[0].at("bytes").num_v, 40);
+  EXPECT_EQ(doc.events[0].at("storage_after").num_v, 100);
+  EXPECT_EQ(doc.events[1].at("type").str_v, "unmark");
+  EXPECT_EQ(doc.events[1].at("page").num_v, 3);
+  EXPECT_TRUE(doc.events[1].at("compulsory").bool_v);
 
   // Server headroom row carries storage fields; the repository row (server
   // -1) does not, and its unlimited proc capacity serializes as null.
@@ -209,8 +217,8 @@ TEST_F(ProvenanceTest, ParserRejectsMalformedDocuments) {
 
 TEST_F(ProvenanceTest, CapCountsDroppedInsteadOfSilentLoss) {
   global_audit_log().set_max_events(3);
-  std::vector<PartitionDecision> batch(5);
-  global_audit_log().add_partitions(std::move(batch));
+  std::vector<EvictionEvent> batch(5);
+  global_audit_log().add_evictions(std::move(batch));
   EXPECT_EQ(global_audit_log().size(), 3u);
   EXPECT_EQ(global_audit_log().dropped(), 2u);
 
@@ -234,12 +242,12 @@ TEST_F(ProvenanceTest, CapKeepsTheCanonicalPrefixInAnyArrivalOrder) {
     global_audit_log().clear();
     global_audit_log().set_max_events(3);
     for (const std::uint64_t run : runs) {
-      std::vector<PartitionDecision> partition(1);
-      partition[0].run = run;
-      global_audit_log().add_partitions(std::move(partition));
       std::vector<EvictionEvent> eviction(1);
       eviction[0].run = run;
       global_audit_log().add_evictions(std::move(eviction));
+      std::vector<UnmarkEvent> unmark(1);
+      unmark[0].run = run;
+      global_audit_log().add_unmarks(std::move(unmark));
     }
     EXPECT_EQ(global_audit_log().size(), 3u);
     EXPECT_EQ(global_audit_log().dropped(), 2 * runs.size() - 3);
@@ -251,9 +259,9 @@ TEST_F(ProvenanceTest, CapKeepsTheCanonicalPrefixInAnyArrivalOrder) {
   EXPECT_EQ(render({8, 3, 6, 1, 7, 2, 5, 4}), sorted);
   EXPECT_EQ(render({5, 8, 7, 6, 4, 3, 2, 1}), sorted);
   const AuditSnapshot snap = global_audit_log().snapshot();
-  ASSERT_EQ(snap.partitions.size(), 3u);
-  EXPECT_EQ(snap.partitions[2].run, 3u);
-  EXPECT_TRUE(snap.evictions.empty());
+  ASSERT_EQ(snap.evictions.size(), 3u);
+  EXPECT_EQ(snap.evictions[2].run, 3u);
+  EXPECT_TRUE(snap.unmarks.empty());
   EXPECT_EQ(snap.dropped, 13u);
 
   global_flight_log().set_max_records(2);
@@ -280,17 +288,18 @@ TEST_F(ProvenanceTest, PolicyRunRecordsAuditTrail) {
   run_replication_policy(sys, options);
 
   const AuditSnapshot snap = global_audit_log().snapshot();
-  EXPECT_GT(snap.partitions.size(), 0u);
-  EXPECT_GT(snap.evictions.size(), 0u);
-  EXPECT_GT(snap.headroom.size(), 0u);
+  ASSERT_GT(snap.evictions.size(), 0u);
+  ASSERT_GT(snap.headroom.size(), 0u);
   EXPECT_GT(snap.replicas.size(), 0u);
-  for (const PartitionDecision& d : snap.partitions) {
-    EXPECT_EQ(d.run, 99u);
-    EXPECT_EQ(d.policy, "ours");
+  for (const EvictionEvent& e : snap.evictions) {
+    EXPECT_EQ(e.run, 99u);
+    EXPECT_EQ(e.policy, "ours");
   }
   // Headroom is stamped for both servers plus the repository, per phase.
   bool saw_repo = false;
   for (const HeadroomStamp& h : snap.headroom) {
+    EXPECT_EQ(h.run, 99u);
+    EXPECT_EQ(h.policy, "ours");
     EXPECT_LT(h.phase, kAuditPhaseCount);
     if (h.server == kInvalidId) saw_repo = true;
   }
@@ -409,10 +418,13 @@ TEST_F(ProvenanceTest, RunSingleTagsEventsWithSeed) {
   set_audit_enabled(true);
   const ExperimentConfig cfg = fast_config();
   ScenarioSpec spec;
+  spec.storage_fraction = 0.5;  // binding storage, so evictions are recorded
   run_single(cfg, spec, 31);
   const AuditSnapshot snap = global_audit_log().snapshot();
-  ASSERT_GT(snap.partitions.size(), 0u);
-  for (const PartitionDecision& d : snap.partitions) EXPECT_EQ(d.run, 31u);
+  ASSERT_GT(snap.evictions.size(), 0u);
+  ASSERT_GT(snap.headroom.size(), 0u);
+  for (const EvictionEvent& e : snap.evictions) EXPECT_EQ(e.run, 31u);
+  for (const HeadroomStamp& h : snap.headroom) EXPECT_EQ(h.run, 31u);
 }
 
 }  // namespace

@@ -77,6 +77,13 @@ TEST(Format, Percent) {
   EXPECT_EQ(format_percent(0.0), "+0.0%");
 }
 
+TEST(Format, Share) {
+  EXPECT_EQ(format_share(0.638), "63.8%");
+  EXPECT_EQ(format_share(0.0), "0.0%");
+  EXPECT_EQ(format_share(1.0, 0), "100%");
+  EXPECT_EQ(format_share(0.5, 0), format_percent(0.5, 0).substr(1));
+}
+
 TEST(Format, Bytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2048), "2.00 KiB");

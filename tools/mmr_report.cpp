@@ -27,6 +27,7 @@
 // skipped section. Exit codes: 0 = report rendered, 2 = usage or I/O
 // error.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -143,10 +144,11 @@ std::string scalar_to_string(const JsonValue& v) {
   }
 }
 
-/// A fraction (share, utilization, attainment) as an unsigned percentage,
-/// 0.638 -> "63.8%". format_percent is the signed relative-change form.
-std::string percent_of(double fraction, int precision = 1) {
-  return format_double(fraction * 100.0, precision) + "%";
+/// A window width in its shortest round-trip form: 7.3 -> "7.3", 60 -> "60".
+std::string window_width(double seconds) {
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof buf, seconds).ptr;
+  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
 std::string server_name(double server) {
@@ -258,10 +260,10 @@ void render_queueing(const JsonValue& metrics, ReportWriter& out) {
   rows.push_back({"completions", format_double(counter("des.completions"), 0)});
   rows.push_back(
       {"reject rate",
-       arrivals > 0 ? percent_of(rejects / arrivals) : "-"});
+       arrivals > 0 ? format_share(rejects / arrivals) : "-"});
   rows.push_back(
       {"redirect rate",
-       arrivals > 0 ? percent_of(redirects / arrivals) : "-"});
+       arrivals > 0 ? format_share(redirects / arrivals) : "-"});
   rows.push_back(
       {"repository jobs", format_double(counter("des.repo_jobs"), 0)});
   rows.push_back(
@@ -273,10 +275,10 @@ void render_queueing(const JsonValue& metrics, ReportWriter& out) {
     auto gauge_max = [&](const std::string& name) {
       return gauges.has(name) ? num_or(gauges.at(name), "max", 0) : 0.0;
     };
-    rows.push_back(
-        {"server utilization", percent_of(gauge_max("des.utilization.server"))});
-    rows.push_back(
-        {"repository utilization", percent_of(gauge_max("des.utilization.repo"))});
+    rows.push_back({"server utilization",
+                    format_share(gauge_max("des.utilization.server"))});
+    rows.push_back({"repository utilization",
+                    format_share(gauge_max("des.utilization.repo"))});
     rows.push_back({"peak server queue depth",
                     format_double(gauge_max("des.queue_peak.server"), 0)});
     rows.push_back({"peak repository queue depth",
@@ -340,9 +342,9 @@ void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
   std::vector<std::vector<std::string>> prow;
   for (const auto& [phase, n] : phase_samples) {
     prow.push_back({phase, std::to_string(n),
-                    percent_of(static_cast<double>(n) /
-                                       static_cast<double>(doc.events.size()),
-                                   1)});
+                    format_share(static_cast<double>(n) /
+                                     static_cast<double>(doc.events.size()),
+                                 1)});
   }
   out.table({"phase", "samples", "occupancy"}, prow);
 
@@ -456,14 +458,11 @@ void render_headroom(const std::vector<const JsonValue*>& events,
 void render_solver_decisions(const std::vector<const JsonValue*>& events,
                              ReportWriter& out) {
   out.section("Solver decisions");
-  std::uint64_t partitions = 0, local = 0, evictions = 0, unmarks = 0;
+  std::uint64_t evictions = 0, unmarks = 0;
   double bytes_evicted = 0;
   for (const JsonValue* e : events) {
     const std::string type = str_or(*e, "type", "");
-    if (type == "partition") {
-      ++partitions;
-      if (e->has("local") && e->at("local").bool_v) ++local;
-    } else if (type == "evict") {
+    if (type == "evict") {
       ++evictions;
       bytes_evicted += num_or(*e, "bytes", 0);
     } else if (type == "unmark") {
@@ -471,16 +470,8 @@ void render_solver_decisions(const std::vector<const JsonValue*>& events,
     }
   }
   std::ostringstream os;
-  os << partitions << " partition decisions";
-  if (partitions > 0) {
-    os << " (" << percent_of(static_cast<double>(local) /
-                                     static_cast<double>(partitions),
-                                 1)
-       << " placed local)";
-  }
-  os << ", " << evictions << " storage evictions ("
-     << format_bytes(bytes_evicted) << " freed), " << unmarks
-     << " processing unmarks.";
+  os << evictions << " storage evictions (" << format_bytes(bytes_evicted)
+     << " freed), " << unmarks << " processing unmarks.";
   out.para(os.str());
 }
 
@@ -618,7 +609,7 @@ void render_slowest_pages(const std::vector<const JsonValue*>& events,
          format_double(a.response_max, 3),
          format_double(a.t_local_sum / n, 3),
          format_double(a.t_remote_sum / n, 3),
-         percent_of(static_cast<double>(a.remote_bound) / n, 0)});
+         format_share(static_cast<double>(a.remote_bound) / n, 0)});
   }
   out.para(std::to_string(total) + " sampled requests, " +
            std::to_string(by_page.size()) + " distinct (mode, page) groups.");
@@ -657,7 +648,7 @@ void render_phase_breakdown(const std::map<std::string, SpanAgg>& by_name,
     rows.push_back(
         {name, std::to_string(a.count), format_double(a.total_us / 1e6, 4),
          format_double(a.total_us / 1e6 / static_cast<double>(a.count), 6),
-         sum_us > 0 ? percent_of(a.total_us / sum_us, 1) : "-"});
+         sum_us > 0 ? format_share(a.total_us / sum_us, 1) : "-"});
   }
   if (rows.empty()) {
     out.para("(no solver phase spans recorded)");
@@ -753,7 +744,7 @@ void render_tail_trajectory(const SketchDoc& doc, std::size_t top,
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
          format_double(num_or(*e, "p99_s", 0), 3),
-         percent_of(num_or(*e, "attainment", 1), 2),
+         format_share(num_or(*e, "attainment", 1), 2),
          format_double(num_or(*e, "burn", 0), 2)});
   }
   if (wrows.empty()) {
@@ -809,8 +800,8 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
              format_double(num_or(slo, "response_s", 0), 2) +
              " s AND stretch <= " +
              format_double(num_or(slo, "stretch_x", 0), 2) + "x, target " +
-             percent_of(num_or(slo, "target", 0), 1) + " per " +
-             format_double(num_or(doc.header, "window_s", 0), 0) +
+             format_share(num_or(slo, "target", 0), 1) + " per " +
+             window_width(num_or(doc.header, "window_s", 0)) +
              " s window. Burn 1.0 = failing exactly at the sustainable "
              "rate.");
   }
@@ -822,7 +813,7 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
              static_cast<std::uint64_t>(num_or(*e, "windows", 0))),
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
-         percent_of(num_or(*e, "attainment", 1), 2),
+         format_share(num_or(*e, "attainment", 1), 2),
          format_double(num_or(*e, "worst_burn_1", 0), 2),
          format_double(num_or(*e, "worst_burn_6", 0), 2)});
   }
@@ -849,7 +840,7 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
     return;
   }
   out.para("Virtual-time windows, base width " +
-           format_double(doc.window_s, 0) +
+           window_width(doc.window_s) +
            " s (long-horizon stations coarsen in power-of-two steps); "
            "stations are the site servers plus the repository (R).");
 
@@ -932,7 +923,7 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
   for (const auto& [key, a] : ranked) {
     srows.push_back(
         {key.first, server_name(key.second),
-         percent_of(utilization(key.first, key.second, a.busy)),
+         format_share(utilization(key.first, key.second, a.busy)),
          format_double(a.peak_depth, 0), format_double(a.peak_t, 1),
          a.first_queue_t < 0 ? "-" : format_double(a.first_queue_t, 1),
          format_double(a.redirected, 0), format_double(a.rejected, 0)});
@@ -958,7 +949,7 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
         {group_label(*w), server_name(num_or(*w, "station", 0)),
          format_double(num_or(*w, "t_start_s", 0), 1),
          format_double(num_or(*w, "depth_max", 0), 0),
-         percent_of(num_or(*w, "util", 0)), format_double(red, 0),
+         format_share(num_or(*w, "util", 0)), format_double(red, 0),
          format_double(rej, 0)});
   }
   if (orows.empty()) {
