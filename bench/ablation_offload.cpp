@@ -72,7 +72,7 @@ int main(int argc, char** argv) try {
       t.begin_row()
           .add_cell(variants[v].name)
           .add_cell(repo_load[v].mean(), 1)
-          .add_percent(converged[v].mean(), 0)
+          .add_cell(format_share(converged[v].mean(), 0))
           .add_cell(d_total[v].mean(), 0);
     }
     t.print(std::cout, "A4 — off-loading ablation");

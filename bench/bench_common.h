@@ -41,6 +41,7 @@
 #include "util/log.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 #include "util/table.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
@@ -147,7 +148,7 @@ inline void init_artifacts(const Flags& flags, const ExperimentConfig& cfg) {
   state.reps = reps;
   state.warmup = warmup;
   // --obs turns streaming telemetry on without the artifact.
-  if (obs) set_obs_enabled(true);
+  if (obs) set_recording(recording_mask() | kRecObs);
   if (state.bench_path.empty() && !state.outputs.any()) return;
   state.start = std::chrono::steady_clock::now();
   std::string tool = flags.program_name();
@@ -235,7 +236,7 @@ inline int run_measured(Body&& body) {
     // Main-thread only, before the snapshot: the sketch-derived obs.*
     // gauges must land in this rep's gauge series deterministically
     // (gauge merge order is thread-dependent for worker-set gauges).
-    if (obs_enabled()) set_obs_gauges();
+    if (recording(kRecObs)) set_obs_gauges();
     if (collect) {
       bench_collector().record("harness.wall_s", "s", wall);
       bench_collector().record("harness.cpu_user_s", "s",

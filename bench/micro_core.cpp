@@ -21,6 +21,7 @@
 #include "io/provenance.h"
 #include "model/cost.h"
 #include "sim/simulator.h"
+#include "util/recording.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/scale.h"
@@ -281,12 +282,12 @@ void BM_FullPolicyPipelineAudited(benchmark::State& state) {
   WorkloadParams wl;
   wl.storage_fraction = 0.5;
   const SystemModel sys = generate_workload(wl, 42);
-  set_audit_enabled(true);
+  set_recording(recording_mask() | kRecAudit);
   for (auto _ : state) {
     global_audit_log().clear();  // keep memory flat across iterations
     benchmark::DoNotOptimize(run_replication_policy(sys).feasible);
   }
-  set_audit_enabled(false);
+  set_recording(recording_mask() & ~kRecAudit);
   global_audit_log().clear();
 }
 BENCHMARK(BM_FullPolicyPipelineAudited)->Unit(benchmark::kMillisecond);
@@ -300,14 +301,14 @@ void BM_SimulateFlight(benchmark::State& state) {
   const Simulator sim(sys, sp);
   const bool flight = state.range(0) != 0;
   if (flight) {
-    set_flight_enabled(true);
+    set_recording(recording_mask() | kRecFlight);
     set_flight_sample_every(100);
   }
   for (auto _ : state) {
     global_flight_log().clear();
     benchmark::DoNotOptimize(sim.simulate(asg, 42).page_response.mean());
   }
-  set_flight_enabled(false);
+  set_recording(recording_mask() & ~kRecFlight);
   global_flight_log().clear();
   state.SetLabel(flight ? "flight recorder on (1-in-100)" : "recorder off");
 }

@@ -53,6 +53,7 @@
 #include "sim/simulator.h"
 #include "util/flags.h"
 #include "util/memacct.h"
+#include "util/recording.h"
 #include "util/thread_pool.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -164,7 +165,7 @@ int cmd_simulate_des(const Flags& flags, const SystemModel& sys,
     pool = std::make_unique<ThreadPool>(threads);
     params.pool = pool.get();
   }
-  set_obs_enabled(true);
+  set_recording(recording_mask() | kRecObs);
   const DesSimulator sim(sys, params);
   const DesMetrics m = sim.simulate(
       asg, static_cast<std::uint64_t>(flags.get_int("seed", 1)));
@@ -213,7 +214,7 @@ int cmd_simulate(const Flags& flags) {
   // Quantiles come from the streaming sketch instead of a per-request
   // sample vector: bounded memory at any request count, values within the
   // sketch's relative-error bound of the exact sample quantiles.
-  set_obs_enabled(true);
+  set_recording(recording_mask() | kRecObs);
   const Simulator sim(sys, params);
   const SimMetrics m = sim.simulate(
       asg, static_cast<std::uint64_t>(flags.get_int("seed", 1)));

@@ -6,6 +6,7 @@
 #include "io/provenance.h"
 #include "model/shard.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 #include "util/telemetry.h"
 #include "util/table.h"
 #include "util/trace.h"
@@ -149,7 +150,7 @@ PolicyResult run_replication_policy(const SystemModel& sys,
 
   // Audit context, captured once: per-phase Eq. 8/9/10 headroom stamps are
   // collected locally and appended as a single batch at the end.
-  const bool audit = audit_enabled();
+  const bool audit = recording(kRecAudit);
   const std::uint64_t audit_run = audit ? provenance_run_or_zero() : 0;
   const std::string audit_policy = audit ? current_metric_label() : "";
   std::vector<HeadroomStamp> headroom;

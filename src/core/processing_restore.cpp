@@ -9,6 +9,7 @@
 #include "util/log.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
@@ -176,7 +177,7 @@ ProcessingRestoreReport restore_processing(
   std::vector<ProcessingRestoreReport> per_server(servers);
   // Thread-locals (run tag, metric label) read here, on the calling thread,
   // so events recorded from pool workers carry the right attribution.
-  const bool audit = audit_enabled();
+  const bool audit = recording(kRecAudit);
   const std::uint64_t audit_run = audit ? provenance_run_or_zero() : 0;
   const std::string audit_policy = audit ? current_metric_label() : "";
   ProgressReporter progress("processing_restore", servers);

@@ -10,6 +10,7 @@
 #include "util/log.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
@@ -223,7 +224,7 @@ StorageRestoreReport restore_storage(const SystemModel& sys, Assignment& asg,
   std::vector<StorageRestoreReport> per_server(servers);
   // Thread-locals (run tag, metric label) read here, on the calling thread,
   // so events recorded from pool workers carry the right attribution.
-  const bool audit = audit_enabled();
+  const bool audit = recording(kRecAudit);
   const std::uint64_t audit_run = audit ? provenance_run_or_zero() : 0;
   const std::string audit_policy = audit ? current_metric_label() : "";
   // Deterministic per-server scratch footprint (largest server's rank count

@@ -15,8 +15,6 @@ namespace mmr {
 
 namespace {
 
-std::atomic<bool> g_audit_enabled{false};
-std::atomic<bool> g_flight_enabled{false};
 std::atomic<std::uint32_t> g_flight_sample_every{100};
 std::atomic<std::uint64_t> g_next_scenario{0};
 
@@ -29,20 +27,6 @@ std::int64_t server_field(ServerId i) {
 }
 
 }  // namespace
-
-bool audit_enabled() {
-  return g_audit_enabled.load(std::memory_order_relaxed);
-}
-void set_audit_enabled(bool on) {
-  g_audit_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool flight_enabled() {
-  return g_flight_enabled.load(std::memory_order_relaxed);
-}
-void set_flight_enabled(bool on) {
-  g_flight_enabled.store(on, std::memory_order_relaxed);
-}
 
 std::uint32_t flight_sample_every() {
   return g_flight_sample_every.load(std::memory_order_relaxed);

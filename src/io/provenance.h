@@ -14,9 +14,10 @@
 //            from the simulator, using a deterministic 1-in-N sampler on the
 //            per-server request index that draws from no RNG stream.
 //
-// Both recorders follow the metrics/trace contract: off by default, and
-// enabling them changes neither solver placements nor simulated response
-// times bit-for-bit (guarded by test_runner / test_provenance). Events carry
+// Both recorders follow the metrics/trace contract: off by default (the
+// kRecAudit and kRecFlight bits of util/recording.h), and enabling them
+// changes neither solver placements nor simulated response times
+// bit-for-bit (guarded by test_runner / test_provenance). Events carry
 // no wall-clock timestamps and no atomic sequence numbers; every event is
 // keyed by (run tag, policy label, entity, step) and the logs sort into that
 // canonical order before writing, so the JSONL artifacts are byte-identical
@@ -41,13 +42,7 @@
 namespace mmr {
 
 // ---------------------------------------------------------------------------
-// Enable switches (process-wide, like metrics/trace).
-
-bool audit_enabled();
-void set_audit_enabled(bool on);
-
-bool flight_enabled();
-void set_flight_enabled(bool on);
+// Flight sampling.
 
 /// The flight recorder keeps request `index` when index % N == 0; N >= 1.
 std::uint32_t flight_sample_every();

@@ -14,6 +14,7 @@
 #include "util/check.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
 
@@ -80,27 +81,29 @@ void ArtifactOutputs::bind(const Flags& flags) {
       flags.get_count("ts-max-windows", tscfg.max_windows, kMaxI64);
   mem_budget_ = flags.get_count("mem-budget", 0, kMaxI64);
 
-  set_progress_enabled(flags.get_bool("progress", false));
+  std::uint32_t mask = kRecMetrics;
+  if (flags.get_bool("progress", false)) mask |= kRecProgress;
   if (mem_budget_ > 0) memacct::set_budget_bytes(mem_budget_);
   ObsConfig ocfg = obs_config();
   ocfg.window_s = flags.get_double("window", ocfg.window_s);
   const std::string slo_spec = flags.get_string("slo", "");
   if (!slo_spec.empty()) ocfg.slo = parse_slo_spec(slo_spec);
   set_obs_config(ocfg);
-  if (!sketch_.empty()) set_obs_enabled(true);
+  if (!sketch_.empty()) mask |= kRecObs;
   // The invariant auditor consumes the queue-dynamics collector, so either
   // output enables it.
   if (!timeseries_.empty() || !invariants_.empty()) {
     tscfg.window_s = flags.get_double("ts-window", tscfg.window_s);
     set_timeseries_config(tscfg);
-    set_timeseries_enabled(true);
+    mask |= kRecTimeseries;
   }
-  if (!trace_.empty()) set_trace_enabled(true);
-  if (!audit_.empty()) set_audit_enabled(true);
+  if (!trace_.empty()) mask |= kRecTrace;
+  if (!audit_.empty()) mask |= kRecAudit;
   if (!flight_.empty()) {
-    set_flight_enabled(true);
+    mask |= kRecFlight;
     set_flight_sample_every(static_cast<std::uint32_t>(flight_sample));
   }
+  set_recording(mask);
   if (!timeline_.empty()) {
     TimelineOptions topt;
     topt.interval_ms =

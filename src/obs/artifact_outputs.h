@@ -11,9 +11,10 @@
 //   --progress            single-line stderr progress/ETA
 //   --mem-budget=N        fail fast past N tracked bytes
 //
-// bind() reads the flags and turns the recorders on, before the measured
-// work; stamp() records their config in a RunMeta; write() writes every
-// requested output once the work is done.
+// bind() reads the flags and stores the recording mask they ask for
+// (util/recording.h), before the measured work; stamp() records their
+// config in a RunMeta; write() writes every requested output once the work
+// is done.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,9 @@ class ArtifactOutputs {
 
   /// Reads and range-checks the flags (CheckError on a negative count or a
   /// --flight-sample / --timeline-interval-ms above 2^32-1), then sets the
-  /// telemetry configs and enables the recorders the outputs need. Configs
-  /// must be in place before the first simulate call creates a shard.
+  /// telemetry configs and stores the recording mask: metrics plus the
+  /// recorders the outputs and --progress need. Configs must be in place
+  /// before the first simulate call creates a shard.
   void bind(const Flags& flags);
 
   /// True when any output path is set.

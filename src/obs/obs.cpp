@@ -1,6 +1,5 @@
 #include "obs/obs.h"
 
-#include <atomic>
 #include <mutex>
 
 #include "util/memacct.h"
@@ -9,8 +8,6 @@
 namespace mmr {
 
 namespace {
-
-std::atomic<bool> g_obs_enabled{false};
 
 std::mutex& config_mutex() {
   static std::mutex* m = new std::mutex();
@@ -23,14 +20,6 @@ ObsConfig& mutable_config() {
 }
 
 }  // namespace
-
-bool obs_enabled() {
-  return g_obs_enabled.load(std::memory_order_relaxed);
-}
-
-void set_obs_enabled(bool enabled) {
-  g_obs_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 ObsConfig obs_config() {
   std::lock_guard<std::mutex> lock(config_mutex());

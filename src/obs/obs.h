@@ -12,8 +12,8 @@
 // produces one ObsShard tagged (run, policy, mode); snapshot() sorts the
 // shards canonically and merges per (policy, mode) group, so the
 // mmr-sketch artifact bytes are independent of thread count and of the
-// order runs finished in. Everything is off by default (set_obs_enabled)
-// and costs nothing when disabled.
+// order runs finished in. Everything is off by default (the kRecObs bit of
+// util/recording.h) and costs nothing when disabled.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +26,14 @@
 #include "obs/shard_log.h"
 #include "obs/sketch.h"
 #include "obs/window.h"
+#include "util/recording.h"
 
 namespace mmr {
 
-/// Master switch; simulators only ingest while enabled.
-bool obs_enabled();
-void set_obs_enabled(bool enabled);
+/// Sets the kRecObs bit; the benchmark driver (perfbench/) calls it.
+inline void set_obs_enabled(bool on) {
+  set_recording(on ? recording_mask() | kRecObs : recording_mask() & ~kRecObs);
+}
 
 // Fixed shape of every shard's summaries; the mmr-sketch header and
 // run_meta record them.

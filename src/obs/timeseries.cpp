@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <ostream>
@@ -14,8 +13,6 @@ namespace mmr {
 
 namespace {
 
-std::atomic<bool> g_timeseries_enabled{false};
-
 std::mutex& config_mutex() {
   static std::mutex* m = new std::mutex();
   return *m;
@@ -27,14 +24,6 @@ TimeseriesConfig& mutable_config() {
 }
 
 }  // namespace
-
-bool timeseries_enabled() {
-  return g_timeseries_enabled.load(std::memory_order_relaxed);
-}
-
-void set_timeseries_enabled(bool enabled) {
-  g_timeseries_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 TimeseriesConfig timeseries_config() {
   std::lock_guard<std::mutex> lock(config_mutex());

@@ -20,8 +20,8 @@
 // cross-thread merge ever happens mid-run; TimeseriesLog::snapshot() sorts
 // shards canonically and merges per (policy, mode) group, making the
 // mmr-timeseries artifact bytes identical at any shard × thread count.
-// Everything is off by default (set_timeseries_enabled) and costs nothing
-// when disabled.
+// Everything is off by default (the kRecTimeseries bit of util/recording.h)
+// and costs nothing when disabled.
 #pragma once
 
 #include <algorithm>
@@ -35,12 +35,15 @@
 #include "obs/shard_log.h"
 #include "obs/windowed_cells.h"
 #include "util/json.h"
+#include "util/recording.h"
 
 namespace mmr {
 
-/// Master switch; the DES only collects while enabled.
-bool timeseries_enabled();
-void set_timeseries_enabled(bool enabled);
+/// Sets the kRecTimeseries bit; the benchmark driver (perfbench/) calls it.
+inline void set_timeseries_enabled(bool on) {
+  set_recording(on ? recording_mask() | kRecTimeseries
+                   : recording_mask() & ~kRecTimeseries);
+}
 
 struct TimeseriesConfig {
   double window_s = 60.0;  ///< base (minimum) virtual-time window width [s]

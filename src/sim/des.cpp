@@ -8,9 +8,9 @@
 
 #include "io/provenance.h"
 #include "model/shard.h"
-#include "obs/obs.h"
 #include "obs/timeseries.h"
 #include "sim/event_queue.h"
+#include "sim/request_recorder.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -126,9 +126,10 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
   MMR_CHECK_MSG(static_cast<std::uint64_t>(n) * per_server < kOptionalOwner,
                 "too many total requests for 32-bit request indices");
 
+  RequestRecorder rec(FlightMode::kDes);
   PhaseScope phase("simulate_des");
-  if (phase.span().active() && !current_metric_label().empty()) {
-    phase.span().arg("policy", current_metric_label());
+  if (phase.span().active() && !rec.policy().empty()) {
+    phase.span().arg("policy", rec.policy());
   }
 
   DesMetrics m;
@@ -182,10 +183,10 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
   // call; every station row is written by exactly one event loop (phase A
   // owns each server, phase B the repository), so workers never share a row.
   std::optional<TimeseriesShard> ts;
-  if (timeseries_enabled()) {
+  if (recording(kRecTimeseries)) {
     ts.emplace(timeseries_config(), n);
-    ts->run = provenance_run_or_zero();
-    ts->policy = current_metric_label();
+    ts->run = rec.run();
+    ts->policy = rec.policy();
     ts->mode = FlightMode::kDes;
     ts->server_concurrency = params_.server_concurrency;
     ts->repo_concurrency = params_.repo_concurrency;
@@ -196,7 +197,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
   // expected horizon, estimated from its Poisson arrival intensity.
   std::optional<ProgressReporter> progress;
   std::vector<double> est_horizon;
-  if (progress_enabled()) {
+  if (recording(kRecProgress)) {
     progress.emplace("simulate_des", static_cast<std::uint64_t>(n) * 1000);
     est_horizon.resize(n);
     for (ServerId i = 0; i < n; ++i) {
@@ -546,23 +547,6 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
   // ---- Phase C: canonical scoring (main thread, server order) -------------
   {
     TraceSpan phase_c("des.score");
-    FlightLog* flog = flight_enabled() ? &global_flight_log() : nullptr;
-    const std::uint32_t sample_every = flight_sample_every();
-    const std::uint64_t run = provenance_run_or_zero();
-    const std::string policy = current_metric_label();
-    std::vector<FlightRecord> flight_batch;
-
-    std::optional<ObsShard> obs_shard;
-    if (obs_enabled()) {
-      obs_shard.emplace(obs_config());
-      obs_shard->run = run;
-      obs_shard->policy = policy;
-      obs_shard->mode = FlightMode::kDes;
-    }
-
-    MetricCounter* c_requests =
-        metrics_enabled() ? &current_metrics().counter("sim.requests")
-                          : nullptr;
 
     // Write back repository completions for page jobs.
     for (std::size_t k = 0; k < jobs.size(); ++k) {
@@ -577,7 +561,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
     // nested track in the Chrome trace. Virtual time maps to trace time at
     // 1 virtual second = 1 µs, based at phase C so the tracks land next to
     // the solver spans.
-    const bool tracing = trace_enabled();
+    const bool tracing = recording(kRecTrace);
     const std::uint64_t trace_base = tracing ? monotonic_now_ns() : 0;
     auto emit_stage = [&](std::uint64_t id, const char* stage, double start_v,
                           double dur_v,
@@ -609,7 +593,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
       for (std::uint32_t r = 0; r < per_server; ++r) {
         const Outcome& o = out[r];
         ++m.arrivals;
-        const bool sampled = r % sample_every == 0;
+        const bool sampled = rec.sampled(r);
         const std::uint64_t req_id =
             static_cast<std::uint64_t>(i) * per_server + r + 1;
         if ((o.flags & kRejected) != 0) {
@@ -637,35 +621,22 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
           m.sojourn_samples.add(sojourn);
           m.stretch_samples.add(stretch);
         }
-        if (c_requests != nullptr) c_requests->add(1);
-        if (obs_shard) {
-          obs_shard->observe(o.page, i, o.arrival, sojourn, stretch,
-                             o.repo_done > 0 ? o.repo_done - o.arrival : 0.0);
-        }
         const double local_service =
             o.local_done > 0 ? o.local_done - o.arrival - o.wait : 0.0;
         const double repo_service =
             o.repo_done > 0 ? o.repo_done - o.arrival - o.repo_wait : 0.0;
-        if (flog != nullptr && sampled) {
-          FlightRecord rec;
-          rec.run = run;
-          rec.policy = policy;
-          rec.mode = FlightMode::kDes;
-          rec.server = i;
-          rec.page = o.page;
-          rec.index = r;
-          rec.t_local = o.local_done > 0 ? o.local_done - o.arrival : 0.0;
-          rec.t_remote = o.repo_done > 0 ? o.repo_done - o.arrival : 0.0;
-          rec.response = sojourn;
-          rec.remote_bound = rec.t_remote > rec.t_local;
-          rec.local_stretch = stretch;
-          rec.throttled = (o.flags & kRedirected) != 0 ? 1 : 0;
-          rec.local_wait = o.wait;
-          rec.local_service = local_service;
-          rec.repo_wait = o.repo_wait;
-          rec.repo_service = repo_service;
-          rec.queue_depth = o.depth;
-          flight_batch.push_back(std::move(rec));
+        if (FlightRecord* f = rec.record(
+                i, o.page, r, o.arrival,
+                o.local_done > 0 ? o.local_done - o.arrival : 0.0,
+                o.repo_done > 0 ? o.repo_done - o.arrival : 0.0, sojourn,
+                svc.ideal)) {
+          f->local_stretch = stretch;
+          f->throttled = (o.flags & kRedirected) != 0 ? 1 : 0;
+          f->local_wait = o.wait;
+          f->local_service = local_service;
+          f->repo_wait = o.repo_wait;
+          f->repo_service = repo_service;
+          f->queue_depth = o.depth;
         }
         if (tracing && sampled) {
           emit_stage(req_id, "request", o.arrival, sojourn,
@@ -691,10 +662,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
           }
         }
       }
-      if (flog != nullptr && !flight_batch.empty()) {
-        flog->add(std::move(flight_batch));
-        flight_batch.clear();
-      }
+      rec.flush();
     }
 
     // Optional-fetch stats: local sojourns first (server order), then
@@ -726,9 +694,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
           m.repo_busy_s / (m.horizon_s * params_.repo_concurrency);
     }
 
-    if (obs_shard && obs_shard->requests > 0) {
-      global_obs_log().add(std::move(*obs_shard));
-    }
+    rec.finish();
 
     if (ts) {
       ts->horizon_s = m.horizon_s;

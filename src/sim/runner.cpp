@@ -7,6 +7,7 @@
 #include "io/provenance.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 #include "util/trace.h"
 #include "workload/generator.h"
 
@@ -135,7 +136,7 @@ ScenarioResult run_scenario(const ExperimentConfig& config,
   // each seed under a private registry and merge it back here, so aggregates
   // are identical whatever the thread count (merge is associative).
   MetricsRegistry* metrics_target =
-      metrics_enabled() ? &current_metrics() : nullptr;
+      recording(kRecMetrics) ? &current_metrics() : nullptr;
 
   // Seeds are the outer parallelism here: when they run on the pool, the
   // solver must not re-enter the same pool from a worker (parallel_for is

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include <optional>
-
 #include "baselines/lru_cache.h"
 #include "io/provenance.h"
-#include "obs/obs.h"
 #include "sim/event_queue.h"
+#include "sim/request_recorder.h"
 #include "util/check.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
@@ -18,123 +16,6 @@
 namespace mmr {
 
 namespace {
-
-/// Per-simulation metric handles, resolved once so the per-request path is
-/// an atomic add, not a registry lookup. Null members when collection is
-/// off. Per-policy response distributions are the obs sketches' job
-/// (ObsContext below), not the registry's.
-struct SimMetricHandles {
-  MetricCounter* requests = nullptr;
-  MetricCounter* local_bound = nullptr;   ///< local pipeline set the max
-  MetricCounter* remote_bound = nullptr;  ///< repository pipeline set the max
-  MetricCounter* optional_downloads = nullptr;
-
-  static SimMetricHandles acquire() {
-    SimMetricHandles h;
-    if (!metrics_enabled()) return h;
-    MetricsRegistry& reg = current_metrics();
-    h.requests = &reg.counter("sim.requests");
-    h.local_bound = &reg.counter("sim.local_bound");
-    h.remote_bound = &reg.counter("sim.remote_bound");
-    h.optional_downloads = &reg.counter("sim.optional_downloads");
-    return h;
-  }
-
-  void count_request(double t_local, double t_remote) {
-    if (requests == nullptr) return;
-    requests->add(1);
-    (t_local >= t_remote ? local_bound : remote_bound)->add(1);
-  }
-};
-
-/// Per-simulation flight-recorder context, resolved once like the metric
-/// handles. The sampler is index % N == 0 on the per-server arrival index —
-/// fully deterministic, draws from no RNG stream, and recording reads only
-/// values the simulation computed anyway, so enabling it cannot change a
-/// single response time. Records are batched per server and appended to the
-/// global log in one call.
-struct FlightContext {
-  FlightLog* log = nullptr;
-  std::uint32_t sample_every = 1;
-  std::uint64_t run = 0;
-  std::string policy;
-  FlightMode mode = FlightMode::kStatic;
-  std::vector<FlightRecord> batch;
-
-  static FlightContext acquire(FlightMode mode) {
-    FlightContext ctx;
-    if (!flight_enabled()) return ctx;
-    ctx.log = &global_flight_log();
-    ctx.sample_every = flight_sample_every();
-    ctx.run = provenance_run_or_zero();
-    ctx.policy = current_metric_label();
-    ctx.mode = mode;
-    return ctx;
-  }
-
-  bool sampled(std::uint32_t index) const {
-    return log != nullptr && index % sample_every == 0;
-  }
-
-  FlightRecord make(ServerId server, PageId page, std::uint32_t index,
-                    double t_local, double t_remote, double response) const {
-    FlightRecord r;
-    r.run = run;
-    r.policy = policy;
-    r.mode = mode;
-    r.server = server;
-    r.page = page;
-    r.index = index;
-    r.t_local = t_local;
-    r.t_remote = t_remote;
-    r.response = response;
-    r.remote_bound = t_remote > t_local;
-    return r;
-  }
-
-  void flush() {
-    if (log != nullptr && !batch.empty()) log->add(std::move(batch));
-    batch.clear();
-  }
-};
-
-/// Per-simulation streaming-telemetry context (obs/obs.h), resolved once
-/// like the flight recorder. Each simulate call builds ONE shard tagged
-/// (run, policy, mode) and appends it on flush, so the canonical snapshot
-/// merge sees the same shards no matter how many threads ran the scenario.
-/// record() reads only values the simulation computed anyway — enabling it
-/// cannot change a single response time.
-struct ObsContext {
-  ObsLog* log = nullptr;
-  std::optional<ObsShard> shard;
-
-  static ObsContext acquire(FlightMode mode) {
-    ObsContext ctx;
-    if (!obs_enabled()) return ctx;
-    ctx.log = &global_obs_log();
-    ctx.shard.emplace(obs_config());
-    ctx.shard->run = provenance_run_or_zero();
-    ctx.shard->policy = current_metric_label();
-    ctx.shard->mode = mode;
-    return ctx;
-  }
-
-  bool active() const { return log != nullptr; }
-
-  /// `ideal` is the unloaded Eq. 5 response (nominal rates, no
-  /// perturbation, no overload); stretch is response / ideal. `miss_cost`
-  /// is the repository-pipeline time, the price of remote objects.
-  void record(PageId page, ServerId server, double t, double response,
-              double ideal, double miss_cost) {
-    shard->observe(page, server, t, response,
-                   ideal > 0 ? response / ideal : 1.0, miss_cost);
-  }
-
-  void flush() {
-    if (log != nullptr && shard->requests > 0) log->add(std::move(*shard));
-    log = nullptr;
-  }
-};
 
 /// The unloaded max-of-pipelines response (Eq. 5 shape) for a request that
 /// fetched `local_bytes` locally and `remote_bytes` from the repository,
@@ -275,12 +156,10 @@ SimMetrics Simulator::simulate(const Assignment& asg,
   SimMetrics metrics;
   metrics.per_server_response.resize(sys.num_servers());
   Rng master(seed);
-  SimMetricHandles mh = SimMetricHandles::acquire();
-  FlightContext flight = FlightContext::acquire(FlightMode::kStatic);
-  ObsContext obs = ObsContext::acquire(FlightMode::kStatic);
+  RequestRecorder rec(FlightMode::kStatic);
   PhaseScope phase("simulate");
-  if (phase.span().active() && !current_metric_label().empty()) {
-    phase.span().arg("policy", current_metric_label());
+  if (phase.span().active() && !rec.policy().empty()) {
+    phase.span().arg("policy", rec.policy());
   }
 
   // The pipeline byte totals are fixed per page for a static placement;
@@ -362,36 +241,27 @@ SimMetrics Simulator::simulate(const Assignment& asg,
                         transfer_seconds(bytes, onet.repo_rate) * repo_slow;
           metrics.optional_time.add(t);
           optional_total += t;
-          if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+          rec.count_optional();
         }
       }
 
-      mh.count_request(t_local, t_remote);
       metrics.page_response.add(response);
       metrics.per_server_response[i].add(response);
       metrics.total_per_request.add(response + optional_total);
       if (params_.capture_samples) metrics.page_samples.add(response);
-      if (obs.active()) {
-        obs.record(j, i, req.time, response,
-                   ideal_response(server, local_bytes, remote_bytes,
-                                  remote_count),
-                   t_remote);
+      if (FlightRecord* r = rec.record(
+              i, j, req_index++, req.time, t_local, t_remote, response,
+              ideal_response(server, local_bytes, remote_bytes,
+                             remote_count))) {
+        r->local_stretch = local_slow;
+        r->repo_stretch = repo_slow;
+        r->optional_requested = optional_requested;
+        r->optional_time = optional_total;
       }
-
-      if (flight.sampled(req_index)) {
-        FlightRecord r =
-            flight.make(i, j, req_index, t_local, t_remote, response);
-        r.local_stretch = local_slow;
-        r.repo_stretch = repo_slow;
-        r.optional_requested = optional_requested;
-        r.optional_time = optional_total;
-        flight.batch.push_back(std::move(r));
-      }
-      ++req_index;
     }
-    flight.flush();
+    rec.flush();
   }
-  obs.flush();
+  rec.finish();
   account_sim_samples(metrics);
   return metrics;
 }
@@ -434,9 +304,7 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
   SimMetrics metrics;
   metrics.per_server_response.resize(sys.num_servers());
   Rng master(seed);
-  SimMetricHandles mh = SimMetricHandles::acquire();
-  FlightContext flight = FlightContext::acquire(FlightMode::kLru);
-  ObsContext obs = ObsContext::acquire(FlightMode::kLru);
+  RequestRecorder rec(FlightMode::kLru);
   PhaseScope phase("simulate_lru");
   EventQueue<OptionalFetch> fetches;
   std::vector<std::uint32_t> picks;  // optional links followed, reused
@@ -503,19 +371,6 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
                 : net.ovhd_repo +
                       transfer_seconds(remote_bytes, net.repo_rate);
         const double response = std::max(t_local, t_remote);
-        if (measure) {
-          mh.count_request(t_local, t_remote);
-          metrics.page_response.add(response);
-          metrics.per_server_response[i].add(response);
-          metrics.total_per_request.add(response);
-          if (params_.capture_samples) metrics.page_samples.add(response);
-          if (obs.active()) {
-            obs.record(j, i, now, response,
-                       ideal_response(server, local_bytes, remote_bytes,
-                                      remote_count),
-                       t_remote);
-          }
-        }
 
         // The user inspects the page, then follows optional links; those
         // fetches hit the shared cache later in true time order.
@@ -531,17 +386,19 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
           }
         }
 
-        if (measure) {
-          if (flight.sampled(arrival_index)) {
-            FlightRecord r = flight.make(i, j, arrival_index, t_local,
-                                         t_remote, response);
-            r.optional_requested = optional_requested;
-            r.cache_hits = req_hits;
-            r.cache_misses = req_misses;
-            r.throttled = req_throttled;
-            flight.batch.push_back(std::move(r));
-          }
-          ++arrival_index;
+        if (!measure) return;
+        metrics.page_response.add(response);
+        metrics.per_server_response[i].add(response);
+        metrics.total_per_request.add(response);
+        if (params_.capture_samples) metrics.page_samples.add(response);
+        if (FlightRecord* r = rec.record(
+                i, j, arrival_index++, now, t_local, t_remote, response,
+                ideal_response(server, local_bytes, remote_bytes,
+                               remote_count))) {
+          r->optional_requested = optional_requested;
+          r->cache_hits = req_hits;
+          r->cache_misses = req_misses;
+          r->throttled = req_throttled;
         }
       };
       auto on_fetch = [&](double now, const OptionalFetch& fetch) {
@@ -558,17 +415,17 @@ SimMetrics Simulator::simulate_lru(std::uint64_t seed) const {
         }
         if (measure) {
           metrics.optional_time.add(t);
-          if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+          rec.count_optional();
         }
       };
       replay_stream(requests, fetches, on_arrival, on_fetch);
     }
-    flight.flush();
+    rec.flush();
     metrics.lru_hits += cache.hits();
     metrics.lru_misses += cache.misses();
     metrics.lru_evictions += cache.evictions();
   }
-  obs.flush();
+  rec.finish();
   MMR_COUNT("sim.lru.hits", metrics.lru_hits);
   MMR_COUNT("sim.lru.misses", metrics.lru_misses);
   MMR_COUNT("sim.lru.evictions", metrics.lru_evictions);
@@ -584,9 +441,7 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
   SimMetrics metrics;
   metrics.per_server_response.resize(sys.num_servers());
   Rng master(seed);
-  SimMetricHandles mh = SimMetricHandles::acquire();
-  FlightContext flight = FlightContext::acquire(FlightMode::kThreshold);
-  ObsContext obs = ObsContext::acquire(FlightMode::kThreshold);
+  RequestRecorder rec(FlightMode::kThreshold);
   PhaseScope phase("simulate_threshold");
   EventQueue<OptionalFetch> fetches;
   std::vector<std::uint32_t> picks;  // optional links followed, reused
@@ -633,17 +488,10 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
               ? 0.0
               : net.ovhd_repo + transfer_seconds(remote_bytes, net.repo_rate);
       const double response = std::max(t_local, t_remote);
-      mh.count_request(t_local, t_remote);
       metrics.page_response.add(response);
       metrics.per_server_response[i].add(response);
       metrics.total_per_request.add(response);
       if (params_.capture_samples) metrics.page_samples.add(response);
-      if (obs.active()) {
-        obs.record(j, i, now, response,
-                   ideal_response(server, local_bytes, remote_bytes,
-                                  remote_count),
-                   t_remote);
-      }
 
       std::uint32_t optional_requested = 0;
       if (!p.optional.empty() && rng.bernoulli(params_.p_interested)) {
@@ -657,15 +505,14 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
         }
       }
 
-      if (flight.sampled(arrival_index)) {
-        FlightRecord r =
-            flight.make(i, j, arrival_index, t_local, t_remote, response);
-        r.optional_requested = optional_requested;
-        r.cache_hits = req_hits;
-        r.cache_misses = req_misses;
-        flight.batch.push_back(std::move(r));
+      if (FlightRecord* r = rec.record(
+              i, j, arrival_index++, now, t_local, t_remote, response,
+              ideal_response(server, local_bytes, remote_bytes,
+                             remote_count))) {
+        r->optional_requested = optional_requested;
+        r->cache_hits = req_hits;
+        r->cache_misses = req_misses;
       }
-      ++arrival_index;
     };
     auto on_fetch = [&](double now, const OptionalFetch& fetch) {
       const ObjectId k = sys.page(fetch.page).optional[fetch.opt_index].object;
@@ -676,14 +523,14 @@ SimMetrics Simulator::simulate_threshold(std::uint64_t seed,
               ? net.ovhd_local + transfer_seconds(bytes, net.local_rate)
               : net.ovhd_repo + transfer_seconds(bytes, net.repo_rate);
       metrics.optional_time.add(t);
-      if (mh.optional_downloads != nullptr) mh.optional_downloads->add(1);
+      rec.count_optional();
     };
     replay_stream(requests, fetches, on_arrival, on_fetch);
-    flight.flush();
+    rec.flush();
     metrics.replica_creations += replicator.creations();
     metrics.replica_drops += replicator.drops();
   }
-  obs.flush();
+  rec.finish();
   MMR_COUNT("sim.replica_creations", metrics.replica_creations);
   MMR_COUNT("sim.replica_drops", metrics.replica_drops);
   account_sim_samples(metrics);

@@ -9,20 +9,10 @@ namespace mmr {
 
 namespace {
 
-std::atomic<bool> g_metrics_enabled{true};
-
 thread_local MetricsRegistry* tls_registry = nullptr;
 thread_local std::string tls_label;
 
 }  // namespace
-
-bool metrics_enabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool on) {
-  g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
 
 void MetricGauge::set(double v) {
   std::lock_guard<std::mutex> lock(mutex_);

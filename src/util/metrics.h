@@ -14,15 +14,10 @@
 // registry with MetricsScope and merge it into the parent when done, so
 // aggregate values never depend on thread count or scheduling.
 //
-// Hot loops acquire handles once and increment through them:
-//
-//   MetricCounter* reqs =
-//       metrics_enabled() ? &current_metrics().counter("sim.requests")
-//                         : nullptr;
-//   ...
-//   if (reqs) reqs->add(1);
-//
-// Phase-level code uses the macros, which no-op when collection is disabled:
+// Collection is the kRecMetrics bit of the recording mask (util/recording.h,
+// on by default). Hot loops acquire handles once and increment through
+// them (sim/request_recorder.h); phase-level code uses the macros, which
+// no-op when the bit is off:
 //
 //   MMR_COUNT("solver.offload.swaps", 1);
 //   MMR_GAUGE("solver.d_after_offload", d);
@@ -37,14 +32,10 @@
 #include <mutex>
 #include <string>
 
+#include "util/recording.h"
 #include "util/stats.h"
 
 namespace mmr {
-
-/// Global collection switch (default on). When off, the macros and
-/// handle-acquisition idiom above skip all work.
-bool metrics_enabled();
-void set_metrics_enabled(bool on);
 
 /// Monotonic counter; increments are relaxed atomics (merge provides the
 /// synchronization point).
@@ -160,14 +151,14 @@ std::uint64_t monotonic_now_ns();
 
 #define MMR_COUNT(name, n)                                  \
   do {                                                      \
-    if (::mmr::metrics_enabled())                           \
+    if (::mmr::recording(::mmr::kRecMetrics))               \
       ::mmr::current_metrics().counter(name).add(           \
           static_cast<std::uint64_t>(n));                   \
   } while (0)
 
 #define MMR_GAUGE(name, v)                                  \
   do {                                                      \
-    if (::mmr::metrics_enabled())                           \
+    if (::mmr::recording(::mmr::kRecMetrics))               \
       ::mmr::current_metrics().gauge(name).set(             \
           static_cast<double>(v));                          \
   } while (0)

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "util/metrics.h"
+#include "util/recording.h"
 
 #ifdef __linux__
 #include <linux/perf_event.h>
@@ -35,18 +36,6 @@ const char* telemetry_current_phase() {
 
 // ---------------------------------------------------------------------------
 // Progress reporting.
-
-namespace {
-
-std::atomic<bool> g_progress{false};
-
-}  // namespace
-
-bool progress_enabled() { return g_progress.load(std::memory_order_relaxed); }
-
-void set_progress_enabled(bool on) {
-  g_progress.store(on, std::memory_order_relaxed);
-}
 
 struct ProgressReporter::Impl {
   const char* phase;
@@ -87,7 +76,7 @@ struct ProgressReporter::Impl {
 };
 
 ProgressReporter::ProgressReporter(const char* phase, std::uint64_t total) {
-  if (!progress_enabled()) return;
+  if (!recording(kRecProgress)) return;
   impl_ = new Impl();
   impl_->phase = phase;
   impl_->total = total;

@@ -83,10 +83,7 @@ class PhaseScope {
 };
 
 // ---------------------------------------------------------------------------
-// Progress reporting (--progress).
-
-bool progress_enabled();
-void set_progress_enabled(bool on);
+// Progress reporting (--progress, the kRecProgress bit).
 
 /// Emits `\r<phase> done/total (pct%) elapsed Xs eta Ys` to stderr, at most
 /// every ~200 ms, plus a final newline-terminated line when the scope ends.

@@ -1,18 +1,16 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <ostream>
 
 #include "util/json.h"
 #include "util/metrics.h"
+#include "util/recording.h"
 
 namespace mmr {
 
 namespace {
-
-std::atomic<bool> g_trace_enabled{false};
 
 /// Flush threshold so long-lived worker threads do not hoard events.
 constexpr std::size_t kFlushAtEvents = 4096;
@@ -83,14 +81,6 @@ ThreadBuffer& thread_buffer() {
 }
 
 }  // namespace
-
-bool trace_enabled() {
-  return g_trace_enabled.load(std::memory_order_relaxed);
-}
-
-void set_trace_enabled(bool on) {
-  g_trace_enabled.store(on, std::memory_order_relaxed);
-}
 
 Tracer& Tracer::instance() {
   static Tracer* t = new Tracer();
@@ -203,7 +193,7 @@ void Tracer::write_chrome_json(std::ostream& os) {
 }
 
 TraceSpan::TraceSpan(const char* name) {
-  if (!trace_enabled()) return;
+  if (!recording(kRecTrace)) return;
   active_ = true;
   name_ = name;
   start_ns_ = monotonic_now_ns();

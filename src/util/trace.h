@@ -3,12 +3,13 @@
 // pipeline run can be opened in chrome://tracing or Perfetto
 // (docs/OBSERVABILITY.md).
 //
-// Disabled by default: a TraceSpan costs one atomic load when tracing is
-// off. When on, span begin/end timestamps and optional key/value args are
-// buffered per thread (the hot path takes only the buffer's own uncontended
-// mutex) and handed to the global tracer when a buffer fills or the thread
-// exits. Spans nest naturally through RAII. Solver and simulator phases
-// open theirs through PhaseScope (util/telemetry.h).
+// Disabled by default (the kRecTrace bit of util/recording.h): a TraceSpan
+// costs one relaxed load when tracing is off. When on, span begin/end
+// timestamps and optional key/value args are buffered per thread (the hot
+// path takes only the buffer's own uncontended mutex) and handed to the
+// global tracer when a buffer fills or the thread exits. Spans nest
+// naturally through RAII. Solver and simulator phases open theirs through
+// PhaseScope (util/telemetry.h).
 //
 //   {
 //     TraceSpan span("offload.round");
@@ -31,9 +32,6 @@
 namespace mmr {
 
 class JsonWriter;
-
-bool trace_enabled();
-void set_trace_enabled(bool on);
 
 /// One completed span. Timestamps are nanoseconds on the shared monotonic
 /// clock (util/metrics monotonic_now_ns); arg values are pre-encoded JSON.
@@ -86,8 +84,8 @@ class Tracer {
   Tracer() = default;
 };
 
-/// RAII span; records a TraceEvent on destruction when tracing was enabled
-/// at construction. Cheap no-op otherwise.
+/// RAII span; records a TraceEvent on destruction when kRecTrace was on at
+/// construction. Cheap no-op otherwise.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name);

@@ -84,13 +84,13 @@ std::string WorkloadStats::to_string() const {
              : optional_per_page_when_present.mean())
      << "\n"
      << "pages with optional: "
-     << format_percent(fraction_pages_with_optional) << "\n"
+     << format_share(fraction_pages_with_optional) << "\n"
      << "html bytes: mean=" << html_bytes.mean() << "\n"
      << "object bytes: mean=" << object_bytes.mean() << "\n"
      << "full replication footprint/server: "
      << format_bytes(full_replication_bytes.mean()) << "\n"
-     << "hot " << format_percent(hot_fraction_used) << " of pages carry "
-     << format_percent(measured_hot_traffic_share) << " of traffic\n";
+     << "hot " << format_share(hot_fraction_used) << " of pages carry "
+     << format_share(measured_hot_traffic_share) << " of traffic\n";
   return os.str();
 }
 

@@ -113,13 +113,8 @@ TEST(Des, ByteIdenticalAcrossShardsAndThreads) {
   const SystemModel sys = wide_workload(304);
   const Assignment asg = make_local_assignment(sys);
 
-  global_flight_log().clear();
-  global_obs_log().clear();
-  global_timeseries_log().clear();
-  set_flight_enabled(true);
+  const testing::RecordingScope scope(kRecFlight | kRecObs | kRecTimeseries);
   set_flight_sample_every(7);
-  set_obs_enabled(true);
-  set_timeseries_enabled(true);
 
   struct Run {
     DesMetrics metrics;
@@ -184,13 +179,6 @@ TEST(Des, ByteIdenticalAcrossShardsAndThreads) {
       EXPECT_EQ(ref.invariants, r.invariants);
     }
   }
-
-  set_flight_enabled(false);
-  set_obs_enabled(false);
-  set_timeseries_enabled(false);
-  global_flight_log().clear();
-  global_obs_log().clear();
-  global_timeseries_log().clear();
 }
 
 TEST(Des, PairedArrivalStreamsAcrossPlacements) {
@@ -198,8 +186,7 @@ TEST(Des, PairedArrivalStreamsAcrossPlacements) {
   // placements must see the same (server, index) -> page arrivals, so
   // policy comparisons are paired.
   const SystemModel sys = wide_workload(305);
-  global_flight_log().clear();
-  set_flight_enabled(true);
+  const testing::RecordingScope scope(kRecFlight);
   set_flight_sample_every(1);
 
   auto arrival_pages = [&](const Assignment& asg) {
@@ -219,9 +206,6 @@ TEST(Des, PairedArrivalStreamsAcrossPlacements) {
   EXPECT_EQ(local.size(),
             static_cast<std::size_t>(sys.num_servers()) * 400);
   EXPECT_EQ(local, remote);
-
-  set_flight_enabled(false);
-  global_flight_log().clear();
 }
 
 TEST(Des, NearZeroLoadMatchesClosedFormEq5) {
@@ -366,8 +350,7 @@ TEST(Des, PsDisciplineStretchesUnderLoad) {
 
 TEST(Des, TimeseriesMirrorsDesMetrics) {
   const SystemModel sys = generate_workload(testing::small_params(), 310);
-  set_timeseries_enabled(true);
-  global_timeseries_log().clear();
+  const testing::RecordingScope scope(kRecTimeseries);
   DesParams p = fast_params();
   p.server_concurrency = 2;
   p.queue_cap = 4;
@@ -391,15 +374,11 @@ TEST(Des, TimeseriesMirrorsDesMetrics) {
   EXPECT_GT(g.repository().arrivals, 0u);
   // The collected series must satisfy every conservation law.
   EXPECT_TRUE(audit_timeseries(groups).all_ok());
-
-  set_timeseries_enabled(false);
-  global_timeseries_log().clear();
 }
 
 TEST(Des, CausalSpansEmittedForSampledRequests) {
   const SystemModel sys = generate_workload(testing::small_params(), 311);
-  Tracer::instance().clear();
-  set_trace_enabled(true);
+  const testing::RecordingScope scope(kRecTrace);
   set_flight_sample_every(5);
   DesParams p = fast_params();
   p.server_concurrency = 2;
@@ -407,7 +386,6 @@ TEST(Des, CausalSpansEmittedForSampledRequests) {
   p.overflow = OverflowPolicy::kRedirect;
   const DesSimulator sim(sys, p);
   (void)sim.simulate(make_local_assignment(sys), 37);
-  set_trace_enabled(false);
 
   std::uint64_t requests = 0, stages = 0;
   bool saw_local_service = false;
@@ -431,15 +409,12 @@ TEST(Des, CausalSpansEmittedForSampledRequests) {
   EXPECT_NE(chrome.str().find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(chrome.str().find("\"ph\":\"e\""), std::string::npos);
   EXPECT_NE(chrome.str().find("\"cat\":\"mmr.des\""), std::string::npos);
-
-  Tracer::instance().clear();
   set_flight_sample_every(1);
 }
 
 TEST(Des, FlightRecordsCarryStageSplit) {
   const SystemModel sys = generate_workload(testing::small_params(), 312);
-  global_flight_log().clear();
-  set_flight_enabled(true);
+  const testing::RecordingScope scope(kRecFlight);
   set_flight_sample_every(1);
   DesParams p = fast_params();
   p.server_concurrency = 2;
@@ -447,7 +422,6 @@ TEST(Des, FlightRecordsCarryStageSplit) {
   p.overflow = OverflowPolicy::kRedirect;
   const DesSimulator sim(sys, p);
   (void)sim.simulate(make_local_assignment(sys), 41);
-  set_flight_enabled(false);
 
   std::uint64_t waited = 0, queued_depth = 0;
   const std::vector<FlightRecord> records = global_flight_log().snapshot();
@@ -468,8 +442,6 @@ TEST(Des, FlightRecordsCarryStageSplit) {
   // queue depth they observed was recorded.
   EXPECT_GT(waited, 0u);
   EXPECT_GT(queued_depth, 0u);
-
-  global_flight_log().clear();
 }
 
 // ---------------------------------------------------------------------------

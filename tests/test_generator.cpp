@@ -218,5 +218,15 @@ TEST(WorkloadStats, ToStringMentionsKeyNumbers) {
   EXPECT_NE(s.find("footprint"), std::string::npos);
 }
 
+TEST(WorkloadStats, SharesPrintUnsigned) {
+  // One page, with an optional object and all of its server's traffic.
+  const std::string s = characterize(testing::tiny_system()).to_string();
+  EXPECT_NE(s.find("\npages with optional: 100.0%\n"), std::string::npos)
+      << s;
+  EXPECT_NE(s.find("\nhot 10.0% of pages carry 100.0% of traffic\n"),
+            std::string::npos)
+      << s;
+}
+
 }  // namespace
 }  // namespace mmr

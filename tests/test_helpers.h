@@ -1,15 +1,49 @@
 // Shared fixtures: hand-built tiny systems with numbers chosen so every
-// cost-model quantity is easy to verify by hand, plus a shrunken Table 1
-// parameter set for fast randomized tests.
+// cost-model quantity is easy to verify by hand, a shrunken Table 1
+// parameter set for fast randomized tests, and an RAII recording scope.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 
+#include "io/provenance.h"
 #include "model/system.h"
+#include "obs/obs.h"
+#include "obs/timeseries.h"
+#include "util/recording.h"
+#include "util/trace.h"
 #include "workload/params.h"
 
 namespace mmr::testing {
+
+/// Saves the recording mask and turns `bits` on; on exit restores the mask.
+/// On entry and on exit it clears the audit, flight, obs and timeseries logs
+/// and the tracer, so a failing ASSERT inside cannot leave a recorder on,
+/// or its records behind, for the later tests of the binary.
+class RecordingScope {
+ public:
+  explicit RecordingScope(std::uint32_t bits = 0) : saved_(recording_mask()) {
+    clear_logs();
+    set_recording(saved_ | bits);
+  }
+  ~RecordingScope() {
+    set_recording(saved_);
+    clear_logs();
+  }
+  RecordingScope(const RecordingScope&) = delete;
+  RecordingScope& operator=(const RecordingScope&) = delete;
+
+ private:
+  static void clear_logs() {
+    global_audit_log().clear();
+    global_flight_log().clear();
+    global_obs_log().clear();
+    global_timeseries_log().clear();
+    Tracer::instance().clear();
+  }
+
+  std::uint32_t saved_;
+};
 
 inline constexpr std::uint64_t kKB = 1024;
 inline constexpr std::uint64_t kMB = 1024 * kKB;

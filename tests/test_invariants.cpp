@@ -18,17 +18,16 @@ namespace mmr {
 namespace {
 
 /// Every test must leave the process-wide collector exactly as it found
-/// it: disabled, empty log, default config.
+/// it: the recording scope restores the mask and empties the log; the
+/// config goes back to its default.
 class InvariantsTest : public ::testing::Test {
  protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
 
-  static void reset() {
-    set_timeseries_enabled(false);
-    global_timeseries_log().clear();
-    set_timeseries_config(TimeseriesConfig{});
-  }
+  static void reset() { set_timeseries_config(TimeseriesConfig{}); }
+
+  const testing::RecordingScope scope_;
 };
 
 /// Replaces the unique occurrence of `from` in `text`; fails the test if
@@ -47,8 +46,7 @@ std::string replace_once(std::string text, const std::string& from,
 /// per-(policy, mode) groups.
 std::vector<TimeseriesShard> collect(const SystemModel& sys,
                                      const DesParams& p, std::uint64_t seed) {
-  set_timeseries_enabled(true);
-  global_timeseries_log().clear();
+  const testing::RecordingScope timeseries(kRecTimeseries);
   const DesSimulator sim(sys, p);
   (void)sim.simulate(make_local_assignment(sys), seed);
   return global_timeseries_log().snapshot();

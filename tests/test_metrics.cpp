@@ -7,23 +7,23 @@
 #include <vector>
 
 #include "io/artifacts.h"
+#include "test_helpers.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace mmr {
 namespace {
 
-/// Restores the global enabled flag and isolates each test in its own
-/// registry so tests cannot see each other's (or the library's) metrics.
+/// Restores the recording mask and isolates each test in its own registry
+/// so tests cannot see each other's (or the library's) metrics.
 class MetricsTest : public ::testing::Test {
  protected:
   MetricsTest() : scope_(&registry_) {}
-  ~MetricsTest() override { set_metrics_enabled(saved_enabled_); }
 
   MetricsRegistry registry_;
 
  private:
-  bool saved_enabled_ = metrics_enabled();
+  const testing::RecordingScope recording_;
   MetricsScope scope_;
 };
 
@@ -101,7 +101,7 @@ TEST_F(MetricsTest, MergeIntoEmptyEqualsCopy) {
 }
 
 TEST_F(MetricsTest, ScopeRedirectsAndRestores) {
-  set_metrics_enabled(true);
+  set_recording(recording_mask() | kRecMetrics);
   MetricsRegistry inner;
   {
     MetricsScope scope(&inner);
@@ -115,10 +115,9 @@ TEST_F(MetricsTest, ScopeRedirectsAndRestores) {
 }
 
 TEST_F(MetricsTest, DisabledMacrosRecordNothing) {
-  set_metrics_enabled(false);
+  set_recording(recording_mask() & ~kRecMetrics);
   MMR_COUNT("c", 1);
   MMR_GAUGE("g", 1.0);
-  set_metrics_enabled(true);
   EXPECT_TRUE(registry_.snapshot().empty());
 }
 

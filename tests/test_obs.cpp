@@ -30,18 +30,19 @@ namespace mmr {
 namespace {
 
 /// Every test must leave the process-wide telemetry exactly as it found
-/// it: disabled, empty log, default config.
+/// it: the recording scope restores the mask and empties the log; the cap
+/// and config go back to their defaults.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
 
   static void reset() {
-    set_obs_enabled(false);
-    global_obs_log().clear();
     global_obs_log().set_max_shards(100'000);
     set_obs_config(ObsConfig{});
   }
+
+  const testing::RecordingScope scope_;
 };
 
 // ---------------------------------------------------------------------------
@@ -549,10 +550,8 @@ TEST_F(ObsTest, ArtifactBytesIdenticalAcrossThreadCounts) {
   meta.tool = "test";
 
   auto render = [&](ThreadPool* pool) {
-    global_obs_log().clear();
-    set_obs_enabled(true);
+    const testing::RecordingScope obs(kRecObs);
     run_scenario(cfg, spec, pool);
-    set_obs_enabled(false);
     std::ostringstream os;
     write_sketch_jsonl(os, global_obs_log().snapshot(), obs_config(),
                        global_obs_log().dropped(), meta);
@@ -589,7 +588,7 @@ TEST_F(ObsTest, SimulatorSketchTracksExactTableOneTails) {
   params.capture_samples = true;
   const Simulator sim(sys, params);
 
-  set_obs_enabled(true);
+  const testing::RecordingScope obs(kRecObs);
   std::map<std::string, SampleSet> exact;
   for (const auto& [policy, asg] :
        {std::pair<std::string, const Assignment*>{"ours", &ours},
@@ -600,7 +599,6 @@ TEST_F(ObsTest, SimulatorSketchTracksExactTableOneTails) {
     exact[policy] = asg == nullptr ? sim.simulate_lru(11).page_samples
                                    : sim.simulate(*asg, 11).page_samples;
   }
-  set_obs_enabled(false);
 
   std::ostringstream os;
   write_sketch_jsonl(os, global_obs_log().snapshot(), obs_config(),
@@ -643,7 +641,7 @@ TEST_F(ObsTest, BinderRejectsOutOfRangeFlags) {
     EXPECT_THROW(outputs.bind(parse_flags({bad, "--sketch-out=unused"})),
                  CheckError)
         << bad;
-    EXPECT_FALSE(obs_enabled()) << bad << " enabled a recorder";
+    EXPECT_FALSE(recording(kRecObs)) << bad << " enabled a recorder";
   }
   ArtifactOutputs outputs;
   EXPECT_NO_THROW(outputs.bind(parse_flags({"--flight-sample=4294967295"})));
@@ -655,7 +653,7 @@ TEST_F(ObsTest, BinderEnablesAndStampsTheRequestedRecorders) {
   outputs.bind(parse_flags({"--sketch-out=unused", "--window=30",
                             "--slo=2.5,2.0,0.95"}));
   EXPECT_TRUE(outputs.any());
-  EXPECT_TRUE(obs_enabled());
+  EXPECT_TRUE(recording(kRecObs));
   EXPECT_EQ(obs_config().window_s, 30.0);
   EXPECT_EQ(obs_config().slo.response_s, 2.5);
   RunMeta meta;

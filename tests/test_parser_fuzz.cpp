@@ -31,9 +31,12 @@
 #include "obs/timeseries.h"
 #include "sim/des.h"
 #include "sim/runner.h"
+#include "sim/simulator.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "workload/generator.h"
 
 namespace mmr {
@@ -57,16 +60,10 @@ WorkloadParams tiny_params() {
   return p;
 }
 
-void reset_recorders() {
-  set_audit_enabled(false);
-  set_flight_enabled(false);
+/// Recorder configs back to their defaults; a RecordingScope owns the mask
+/// and the logs.
+void reset_configs() {
   set_flight_sample_every(100);
-  set_obs_enabled(false);
-  set_timeseries_enabled(false);
-  global_audit_log().clear();
-  global_flight_log().clear();
-  global_obs_log().clear();
-  global_timeseries_log().clear();
   set_obs_config(ObsConfig{});
   set_timeseries_config(TimeseriesConfig{});
   set_next_provenance_scenario(0);
@@ -80,15 +77,13 @@ struct Seeds {
 /// One fixed seeded run with every recorder on: a constrained solve and
 /// simulation through run_scenario, then one DES pass.
 Seeds make_seeds() {
-  reset_recorders();
-  set_audit_enabled(true);
-  set_flight_enabled(true);
+  reset_configs();
+  const testing::RecordingScope scope(kRecAudit | kRecFlight | kRecObs |
+                                      kRecTimeseries);
   set_flight_sample_every(5);
-  set_obs_enabled(true);
   TimeseriesConfig tcfg;
   tcfg.window_s = 30.0;
   set_timeseries_config(tcfg);
-  set_timeseries_enabled(true);
 
   ExperimentConfig cfg;
   cfg.workload = tiny_params();
@@ -124,7 +119,7 @@ Seeds make_seeds() {
                          global_timeseries_log().dropped(), meta);
   write_invariants_jsonl(inv, audit_timeseries(groups), InvariantTolerances{},
                          meta);
-  reset_recorders();
+  reset_configs();
 
   TimelineSnapshot snap;
   snap.interval_ms = 20;
@@ -193,6 +188,33 @@ TEST(ArtifactGolden, PayloadHashes) {
   EXPECT_EQ(fnv1a(payload(s.sketch)), 0xa48007ab7110d18bu);
   EXPECT_EQ(fnv1a(payload(s.timeseries)), 0x733be0e639b46eb7u);
   EXPECT_EQ(fnv1a(payload(s.invariants)), 0x114459b8be3797afu);
+}
+
+// simulate_threshold is the one simulate path the run above never takes.
+// Recorded before the four simulate paths shared one request recorder.
+TEST(ArtifactGolden, ThresholdPayloadHashes) {
+  reset_configs();
+  const testing::RecordingScope scope(kRecFlight | kRecObs);
+  set_flight_sample_every(5);
+  const SystemModel sys = generate_workload(tiny_params(), 11);
+  SimParams sp;
+  sp.requests_per_server = 200;
+  {
+    ProvenanceRunScope run(3);
+    MetricLabelScope label("threshold");
+    (void)Simulator(sys, sp).simulate_threshold(17, ThresholdParams{});
+  }
+  EXPECT_EQ(global_flight_log().size(), 80u);
+  RunMeta meta;
+  meta.tool = "golden";
+  std::ostringstream flight, sketch;
+  write_flight_jsonl(flight, global_flight_log().snapshot(),
+                     global_flight_log().dropped(), meta);
+  write_sketch_jsonl(sketch, global_obs_log().snapshot(), obs_config(),
+                     global_obs_log().dropped(), meta);
+  reset_configs();
+  EXPECT_EQ(fnv1a(payload(flight.str())), 0xc1cd308d0163f396u);
+  EXPECT_EQ(fnv1a(payload(sketch.str())), 0xd99d098908297cb1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -253,12 +253,9 @@ TEST_P(ProcessingRestoreReference, MatchesBruteForceBitForBit) {
 
   ProcessingRestoreOptions options;
   options.amortize_by_workload = amortize;
-  global_audit_log().clear();
-  set_audit_enabled(true);
+  const testing::RecordingScope audit_on(kRecAudit);
   const auto report = restore_processing(sys, asg, kW, options);
-  set_audit_enabled(false);
   const AuditSnapshot audit = global_audit_log().snapshot();
-  global_audit_log().clear();
 
   ASSERT_FALSE(steps.empty());
   EXPECT_EQ(report.unmarked_slots, steps.size());

@@ -15,21 +15,20 @@ namespace mmr {
 namespace {
 
 /// Every test must leave the process-wide recorders exactly as it found
-/// them: disabled, empty, default caps and sampling.
+/// them: the recording scope restores the mask and empties the logs; caps
+/// and sampling go back to their defaults.
 class ProvenanceTest : public ::testing::Test {
  protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
 
   static void reset() {
-    set_audit_enabled(false);
-    set_flight_enabled(false);
     set_flight_sample_every(100);
-    global_audit_log().clear();
     global_audit_log().set_max_events(1'000'000);
-    global_flight_log().clear();
     global_flight_log().set_max_records(1'000'000);
   }
+
+  const testing::RecordingScope scope_;
 };
 
 ExperimentConfig fast_config() {
@@ -278,7 +277,7 @@ TEST_F(ProvenanceTest, CapKeepsTheCanonicalPrefixInAnyArrivalOrder) {
 }
 
 TEST_F(ProvenanceTest, PolicyRunRecordsAuditTrail) {
-  set_audit_enabled(true);
+  const testing::RecordingScope audit(kRecAudit);
   // Half the storage forces evictions; the solver records every decision.
   const SystemModel sys =
       testing::two_server_system(1000.0, 60 * testing::kKB);
@@ -317,7 +316,7 @@ TEST_F(ProvenanceTest, AuditRecordingIsBitExact) {
   PolicyOptions options;
   const PolicyResult off = run_replication_policy(sys, options);
 
-  set_audit_enabled(true);
+  const testing::RecordingScope audit(kRecAudit);
   const PolicyResult on = run_replication_policy(sys, options);
 
   EXPECT_EQ(off.assignment.comp_bits(), on.assignment.comp_bits());
@@ -326,7 +325,7 @@ TEST_F(ProvenanceTest, AuditRecordingIsBitExact) {
 }
 
 TEST_F(ProvenanceTest, FlightSamplerIsDeterministic) {
-  set_flight_enabled(true);
+  const testing::RecordingScope flight(kRecFlight);
   set_flight_sample_every(7);
   const SystemModel sys = testing::two_server_system();
   Assignment asg(sys);
@@ -358,7 +357,7 @@ TEST_F(ProvenanceTest, FlightSamplerIsDeterministic) {
 }
 
 TEST_F(ProvenanceTest, CacheBaselinesRecordFlight) {
-  set_flight_enabled(true);
+  const testing::RecordingScope flight(kRecFlight);
   set_flight_sample_every(11);
   const SystemModel sys = testing::two_server_system();
   SimParams params;
@@ -388,15 +387,10 @@ TEST_F(ProvenanceTest, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   meta.tool = "test";
 
   auto render = [&](ThreadPool* pool) {
-    global_audit_log().clear();
-    global_flight_log().clear();
-    set_audit_enabled(true);
-    set_flight_enabled(true);
+    const testing::RecordingScope recorders(kRecAudit | kRecFlight);
     set_flight_sample_every(40);
     set_next_provenance_scenario(1);
     run_scenario(cfg, spec, pool);
-    set_audit_enabled(false);
-    set_flight_enabled(false);
     std::ostringstream audit_os;
     write_audit_jsonl(audit_os, global_audit_log().snapshot(), meta);
     std::ostringstream flight_os;
@@ -415,7 +409,7 @@ TEST_F(ProvenanceTest, ArtifactsAreByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ProvenanceTest, RunSingleTagsEventsWithSeed) {
-  set_audit_enabled(true);
+  const testing::RecordingScope audit(kRecAudit);
   const ExperimentConfig cfg = fast_config();
   ScenarioSpec spec;
   spec.storage_fraction = 0.5;  // binding storage, so evictions are recorded

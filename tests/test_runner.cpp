@@ -129,13 +129,12 @@ TEST(Runner, TracedRunNestsSolverPhaseSpansInPolicySpans) {
   const ExperimentConfig cfg = fast_config();
   ScenarioSpec spec;
   spec.storage_fraction = 0.6;
-  const bool saved = trace_enabled();
-  Tracer::instance().clear();
-  set_trace_enabled(true);
-  (void)run_single(cfg, spec, 11);
-  set_trace_enabled(saved);
-  const std::vector<TraceEvent> events = Tracer::instance().snapshot();
-  Tracer::instance().clear();
+  std::vector<TraceEvent> events;
+  {
+    const testing::RecordingScope trace(kRecTrace);
+    (void)run_single(cfg, spec, 11);
+    events = Tracer::instance().snapshot();
+  }
 
   std::vector<const TraceEvent*> policies;
   std::map<std::string, std::size_t> phases;
@@ -181,9 +180,12 @@ TEST(Runner, MetricsCollectionDoesNotChangeResults) {
   }
   EXPECT_FALSE(scratch.snapshot().empty());
 
-  set_metrics_enabled(false);
-  const RunOutcome without_metrics = run_single(cfg, spec, 23);
-  set_metrics_enabled(true);
+  RunOutcome without_metrics;
+  {
+    const testing::RecordingScope scope;
+    set_recording(recording_mask() & ~kRecMetrics);
+    without_metrics = run_single(cfg, spec, 23);
+  }
 
   EXPECT_DOUBLE_EQ(with_metrics.ours_response, without_metrics.ours_response);
   EXPECT_DOUBLE_EQ(with_metrics.lru_response, without_metrics.lru_response);
@@ -206,17 +208,15 @@ TEST(Runner, RecordersDoNotChangeResults) {
   spec.storage_fraction = 0.5;
   const RunOutcome off = run_single(cfg, spec, 29);
 
-  set_audit_enabled(true);
-  set_flight_enabled(true);
-  set_flight_sample_every(10);
-  const RunOutcome on = run_single(cfg, spec, 29);
-  set_audit_enabled(false);
-  set_flight_enabled(false);
-  set_flight_sample_every(100);
-  EXPECT_GT(global_audit_log().size(), 0u);
-  EXPECT_GT(global_flight_log().size(), 0u);
-  global_audit_log().clear();
-  global_flight_log().clear();
+  RunOutcome on;
+  {
+    const testing::RecordingScope recorders(kRecAudit | kRecFlight);
+    set_flight_sample_every(10);
+    on = run_single(cfg, spec, 29);
+    set_flight_sample_every(100);
+    EXPECT_GT(global_audit_log().size(), 0u);
+    EXPECT_GT(global_flight_log().size(), 0u);
+  }
 
   EXPECT_DOUBLE_EQ(off.ours_response, on.ours_response);
   EXPECT_DOUBLE_EQ(off.lru_response, on.lru_response);

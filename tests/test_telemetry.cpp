@@ -106,8 +106,7 @@ TEST_F(MemacctTest, MemoryGaugesAreThreadCountInvariant) {
   // The deterministic plane: memory.* gauges in metrics.json must be
   // bit-identical no matter how many workers the solver uses.
   const SystemModel sys = generate_workload(testing::small_params(), 91);
-  const bool saved = metrics_enabled();
-  set_metrics_enabled(true);
+  const testing::RecordingScope metrics(kRecMetrics);
 
   const auto solve_gauges = [&](ThreadPool* pool) {
     MetricsRegistry reg;
@@ -125,7 +124,6 @@ TEST_F(MemacctTest, MemoryGaugesAreThreadCountInvariant) {
   const auto serial = solve_gauges(nullptr);
   ThreadPool pool(3);
   const auto pooled = solve_gauges(&pool);
-  set_metrics_enabled(saved);
 
   ASSERT_FALSE(serial.empty());
   EXPECT_GT(serial.count("memory.assignment.bits"), 0u);
@@ -164,9 +162,8 @@ const TraceEvent* find_span(const std::vector<TraceEvent>& events,
 }
 
 TEST(Telemetry, PhaseScopeRecordsOneSpanOnlyWhileTracing) {
-  const bool saved = trace_enabled();
-  Tracer::instance().clear();
-  set_trace_enabled(false);
+  const testing::RecordingScope scope;
+  set_recording(recording_mask() & ~kRecTrace);
   {
     PhaseScope off("partition");
     EXPECT_FALSE(off.span().active());
@@ -174,16 +171,14 @@ TEST(Telemetry, PhaseScopeRecordsOneSpanOnlyWhileTracing) {
   }
   EXPECT_TRUE(Tracer::instance().snapshot().empty());
 
-  set_trace_enabled(true);
+  set_recording(recording_mask() | kRecTrace);
   {
     PhaseScope outer("partition");
     EXPECT_TRUE(outer.span().active());
     outer.span().arg("policy", std::string("ours"));
     { PhaseScope inner("storage_restore"); }
   }
-  set_trace_enabled(saved);
   const std::vector<TraceEvent> events = Tracer::instance().snapshot();
-  Tracer::instance().clear();
   EXPECT_STREQ(telemetry_current_phase(), "idle");
 
   ASSERT_EQ(events.size(), 2u);
@@ -321,9 +316,11 @@ TEST(Telemetry, SamplerAndProgressDoNotChangeResults) {
   TimelineOptions options;
   options.interval_ms = 1;
   global_timeline_sampler().start(options);
-  set_progress_enabled(true);
-  const RunOutcome on = run_single(cfg, spec, 29);
-  set_progress_enabled(false);
+  RunOutcome on;
+  {
+    const testing::RecordingScope progress(kRecProgress);
+    on = run_single(cfg, spec, 29);
+  }
   global_timeline_sampler().stop();
   EXPECT_GE(global_timeline_sampler().snapshot().samples.size(), 2u);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "io/provenance.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/memacct.h"
 
@@ -15,18 +16,19 @@ namespace mmr {
 namespace {
 
 /// Every test must leave the process-wide collector exactly as it found
-/// it: disabled, empty log, default config.
+/// it: the recording scope restores the mask and empties the log; the cap
+/// and config go back to their defaults.
 class TimeseriesTest : public ::testing::Test {
  protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
 
   static void reset() {
-    set_timeseries_enabled(false);
-    global_timeseries_log().clear();
     global_timeseries_log().set_max_shards(100'000);
     set_timeseries_config(TimeseriesConfig{});
   }
+
+  const testing::RecordingScope scope_;
 };
 
 /// Replaces the unique occurrence of `from` in `text`; fails the test if

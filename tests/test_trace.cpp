@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "io/artifacts.h"
+#include "test_helpers.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -14,23 +15,13 @@ namespace {
 
 /// Enables tracing on a clean buffer, restoring both on exit.
 class TraceTest : public ::testing::Test {
- protected:
-  TraceTest() {
-    Tracer::instance().clear();
-    set_trace_enabled(true);
-  }
-  ~TraceTest() override {
-    set_trace_enabled(saved_);
-    Tracer::instance().clear();
-  }
-
  private:
-  bool saved_ = trace_enabled();
+  const testing::RecordingScope scope_{kRecTrace};
 };
 
 TEST(Trace, DisabledRecordsNothing) {
-  set_trace_enabled(false);
-  Tracer::instance().clear();
+  const testing::RecordingScope scope;
+  set_recording(recording_mask() & ~kRecTrace);
   {
     TraceSpan invisible("invisible");
     TraceSpan span("also_invisible");
