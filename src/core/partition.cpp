@@ -245,7 +245,7 @@ double page_contribution(const Assignment& asg, PageId j, const Weights& w) {
 bool repartition_within_store(const SystemModel& sys, Assignment& asg,
                               PageId j,
                               const std::vector<std::uint8_t>& allowed,
-                              const Weights& w) {
+                              const Weights& w, bool* at_fixpoint) {
   const Page& p = sys.page(j);
   MMR_DCHECK(allowed.size() == sys.num_referenced(p.host));
 
@@ -298,7 +298,16 @@ bool repartition_within_store(const SystemModel& sys, Assignment& asg,
                      w.alpha2 * optional_time);
   // Strict improvement beyond float drift between the incremental caches
   // and this from-scratch evaluation; ties keep the current marking.
-  if (new_value >= old_value - 1e-9 * std::max(1.0, old_value)) return false;
+  const bool better =
+      new_value < old_value - 1e-9 * std::max(1.0, old_value);
+  if (!better && at_fixpoint == nullptr) return false;
+  // A candidate equal to the current marking changes nothing, whatever the
+  // drift says.
+  const bool same =
+      std::equal(new_comp.begin(), new_comp.end(), asg.comp_row(j)) &&
+      std::equal(new_opt.begin(), new_opt.end(), asg.opt_row(j));
+  if (at_fixpoint != nullptr) *at_fixpoint = better || same;
+  if (!better || same) return false;
 
   // Apply only the bits that changed.
   for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {

@@ -73,13 +73,18 @@ void partition_all(const SystemModel& sys, Assignment& asg,
 /// O(pool-size) at web scale). Keeps the better of the old and new marking
 /// under weights `w`; returns true if the page changed.
 ///
+/// When `at_fixpoint` is given it is set to true iff the page's marking on
+/// return equals the candidate for `allowed`: the candidate was applied, or
+/// it already was the marking (storage restoration skips later calls that
+/// provably repeat this one; docs/ALGORITHM.md, stage 2).
+///
 /// Precondition: the page's current local marks only reference allowed
 /// objects (callers clear the deallocated object's marks before invoking),
 /// so restoring the old marking can never grow the stored set.
 bool repartition_within_store(const SystemModel& sys, Assignment& asg,
                               PageId j,
                               const std::vector<std::uint8_t>& allowed,
-                              const Weights& w);
+                              const Weights& w, bool* at_fixpoint = nullptr);
 
 /// Contribution of page j to D: alpha1*f*Time(W_j) + alpha2*f*Time(W_j, M),
 /// read from the assignment's caches.

@@ -21,14 +21,12 @@ namespace {
 struct HeapEntry {
   double criterion;
   std::uint32_t rank;  // object's rank on the server under restoration
-  std::uint64_t epoch;
 };
 
 /// A page that lost a local mark of the object being deallocated.
 struct AffectedPage {
   PageId page;
-  bool compulsory;  // the cleared slot was compulsory
-  bool improved;    // its repartition found a strictly better marking
+  bool improved;  // its repartition found a strictly better marking
 };
 
 /// Heap comparator for the restoration's total order: criterion, then rank
@@ -51,6 +49,13 @@ double criterion_for(const SystemModel& sys, const Assignment& asg,
          static_cast<double>(sys.object_bytes(sys.object_at_rank(i, rank)));
 }
 
+/// Restoration scratch of server i: the rank-indexed `allowed` bitmap and
+/// one fixpoint flag per hosted page.
+std::uint64_t scratch_bytes_for(const SystemModel& sys, ServerId i) {
+  return static_cast<std::uint64_t>(sys.num_referenced(i)) +
+         sys.pages_on_server(i).size();
+}
+
 /// `audit_run` / `audit_policy` are captured by restore_storage on the
 /// calling thread (the run tag and metric label are thread-local, so a pool
 /// worker cannot read them itself) and are only meaningful when `audit`.
@@ -66,27 +71,38 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
   // sequence makes the batch sortable into a thread-count-independent order.
   std::vector<EvictionEvent> audit_batch;
 
-  // Lazy min-heap: entries carry the epoch at push time; a dirtied object
-  // (epoch bumped) is re-scored only when it reaches the top, which avoids
-  // eager re-pushes for objects that never become the minimum. Every stored
-  // object has exactly one entry (a stale pop pushes its one replacement).
-  // Epochs and the repartition "allowed" bitmap are rank-indexed per-server
-  // arrays (O(pool-size), not O(universe)) — this routine may run on a pool
+  // Min-heap re-scored at pop: an entry that surfaces with a stale key is
+  // pushed back with its current criterion instead of being deallocated.
+  // Every stored object has exactly one entry. The "allowed" bitmap is
+  // rank-indexed and the fixpoint flags are indexed by page_pos_in_host
+  // (O(pool-size + pages), not O(universe)); this routine may run on a pool
   // worker, so all its scratch is local.
   const std::uint32_t n_ranks = sys.num_referenced(i);
-  const memacct::Charge scratch_charge(
-      memacct::Category::kSolverScratch,
-      static_cast<std::uint64_t>(n_ranks) *
-          (sizeof(std::uint64_t) + sizeof(std::uint8_t)));
-  std::vector<std::uint64_t> epoch(n_ranks, 0);
+  const memacct::Charge scratch_charge(memacct::Category::kSolverScratch,
+                                       scratch_bytes_for(sys, i));
   std::vector<std::uint8_t> allowed(n_ranks, 0);
+  // fixpoint[pos] != 0: the page's marking equals its repartition candidate
+  // for the current bitmap, and no compulsory object of the page has left
+  // the bitmap since that candidate was computed.
+  std::vector<std::uint8_t> fixpoint(sys.pages_on_server(i).size(), 0);
   std::vector<HeapEntry> heap;
   for (std::uint32_t rank = 0; rank < n_ranks; ++rank) {
     if (!asg.stored_at(i, rank)) continue;
-    heap.push_back({criterion_for(sys, asg, i, rank, w, options), rank, 0});
+    heap.push_back({criterion_for(sys, asg, i, rank, w, options), rank});
     allowed[rank] = 1;
   }
   std::make_heap(heap.begin(), heap.end(), Later{});
+
+  // Object `rank` leaves the bitmap. A page with a compulsory slot for it
+  // now runs its greedy with that slot forced remote, which skips the
+  // slot's `local += a; local -= a` round trip and so need not reproduce
+  // the old running totals bit for bit: the page leaves its fixpoint.
+  auto disallow = [&](std::uint32_t rank) {
+    allowed[rank] = 0;
+    for (const PageObjectRef& ref : sys.refs_at_rank(i, rank)) {
+      if (ref.compulsory) fixpoint[sys.page_pos_in_host(ref.page)] = 0;
+    }
+  };
 
   std::vector<AffectedPage> affected;  // reused across deallocations
   while (asg.storage_used(i) > server.storage_capacity) {
@@ -104,10 +120,9 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
     heap.pop_back();
     const std::uint32_t rank = top.rank;
     if (!asg.stored_at(i, rank)) continue;  // dropped as a side effect
-    if (top.epoch != epoch[rank]) {
-      // Stale: re-score now that it surfaced.
-      heap.push_back(
-          {criterion_for(sys, asg, i, rank, w, options), rank, epoch[rank]});
+    const double criterion = criterion_for(sys, asg, i, rank, w, options);
+    if (criterion != top.criterion) {
+      heap.push_back({criterion, rank});
       std::push_heap(heap.begin(), heap.end(), Later{});
       continue;
     }
@@ -119,27 +134,37 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
     for (const PageObjectRef& ref : sys.refs_at_rank(i, rank)) {
       if (asg.ref_local(ref)) {
         asg.set_ref_local(ref, false);
-        affected.push_back({ref.page, ref.compulsory, false});
+        affected.push_back({ref.page, false});
       }
     }
     ++report.deallocations;
     report.bytes_freed += sys.object_bytes(k);
     MMR_DCHECK(!asg.stored_at(i, rank));
-    allowed[rank] = 0;
+    disallow(rank);
 
     // Every affected page is repartitioned against the same bitmap before
-    // any entry is refreshed.
+    // it is refreshed. A page still at its fixpoint is skipped: it lost an
+    // optional slot (disallow() cleared the flag of every page holding k as
+    // compulsory), and its candidate is its current marking.
     std::uint32_t repartitioned = 0;
     std::uint32_t improved = 0;
     if (options.repartition_after_dealloc) {
       for (AffectedPage& a : affected) {
         ++report.repartitioned_pages;
         ++repartitioned;
-        if (repartition_within_store(sys, asg, a.page, allowed, w)) {
+        std::uint8_t& flag = fixpoint[sys.page_pos_in_host(a.page)];
+        if (flag != 0) {
+          ++report.repartitions_skipped;
+          continue;
+        }
+        bool at_fixpoint = false;
+        if (repartition_within_store(sys, asg, a.page, allowed, w,
+                                     &at_fixpoint)) {
           ++report.repartition_improvements;
           ++improved;
           a.improved = true;
         }
+        flag = at_fixpoint ? 1 : 0;
       }
     }
 
@@ -160,34 +185,21 @@ void restore_server(const SystemModel& sys, Assignment& asg, ServerId i,
       audit_batch.push_back(std::move(e));
     }
 
-    // Dirty exactly the objects whose delta-D can have changed. An object's
-    // delta-D reads only its own local marks and, for each local compulsory
-    // slot, its page's two pipeline times; optional deltas are constant.
-    // - An improved page changed marks arbitrarily within the stored set:
-    //   refresh the bitmap (objects may have left the store) and dirty every
-    //   stored object on it.
-    // - Any other page lost only k's slot, so no other object changed its
-    //   stored status. Its pipeline times moved iff that slot was
-    //   compulsory, which dirties the page's still-local compulsory slots.
+    // An improved page changed marks within the stored set, so objects may
+    // have left the store: they leave the bitmap too. Any other page lost
+    // only k's slot, and k already left.
     for (const AffectedPage& a : affected) {
+      if (!a.improved) continue;
       const PageId j = a.page;
       const Page& p = sys.page(j);
-      if (a.improved) {
-        auto refresh = [&](std::uint32_t r) {
-          const bool stored = asg.stored_at(i, r);
-          allowed[r] = stored ? 1 : 0;
-          if (stored) ++epoch[r];
-        };
-        for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-          refresh(sys.comp_rank(j, idx));
-        }
-        for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-          refresh(sys.opt_rank(j, idx));
-        }
-      } else if (a.compulsory) {
-        for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-          if (asg.comp_local(j, idx)) ++epoch[sys.comp_rank(j, idx)];
-        }
+      auto refresh = [&](std::uint32_t r) {
+        if (allowed[r] != 0 && !asg.stored_at(i, r)) disallow(r);
+      };
+      for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
+        refresh(sys.comp_rank(j, idx));
+      }
+      for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
+        refresh(sys.opt_rank(j, idx));
       }
     }
   }
@@ -202,6 +214,7 @@ void merge_reports(StorageRestoreReport& into,
   into.deallocations += from.deallocations;
   into.repartitioned_pages += from.repartitioned_pages;
   into.repartition_improvements += from.repartition_improvements;
+  into.repartitions_skipped += from.repartitions_skipped;
   into.bytes_freed += from.bytes_freed;
   into.infeasible_servers.insert(into.infeasible_servers.end(),
                                  from.infeasible_servers.begin(),
@@ -227,16 +240,14 @@ StorageRestoreReport restore_storage(const SystemModel& sys, Assignment& asg,
   const bool audit = recording(kRecAudit);
   const std::uint64_t audit_run = audit ? provenance_run_or_zero() : 0;
   const std::string audit_policy = audit ? current_metric_label() : "";
-  // Deterministic per-server scratch footprint (largest server's rank count
-  // bounds every worker's allocation), observed once per call on the calling
+  // Deterministic per-server scratch footprint (the largest server's bounds
+  // every worker's allocation), observed once per call on the calling
   // thread (pool workers have no per-run metrics scope).
-  std::uint64_t max_ranks = 0;
+  std::uint64_t scratch_bytes = 0;
   for (std::size_t i = 0; i < servers; ++i) {
-    max_ranks = std::max<std::uint64_t>(
-        max_ranks, sys.num_referenced(static_cast<ServerId>(i)));
+    scratch_bytes = std::max(scratch_bytes,
+                             scratch_bytes_for(sys, static_cast<ServerId>(i)));
   }
-  const std::uint64_t scratch_bytes =
-      max_ranks * (sizeof(std::uint64_t) + sizeof(std::uint8_t));
   MMR_GAUGE("memory.solver.scratch", static_cast<double>(scratch_bytes));
   ProgressReporter progress("storage_restore", servers);
   auto run_one = [&](std::size_t i) {

@@ -7,9 +7,11 @@
 // re-partitioned within the remaining stored set, exploiting objects that
 // are stored but were not marked for local download.
 //
-// Implementation: one lazy min-heap per server keyed by (delta-D/size, rank),
-// with per-object epochs; a deallocation dirties exactly the objects whose
-// delta-D it can have changed (docs/ALGORITHM.md, stage 2).
+// Implementation: one min-heap per server keyed by (delta-D/size, rank),
+// re-scored at pop: an entry whose key no longer equals its object's
+// criterion is pushed back with the current value, so no per-object epochs
+// or dirtying are needed. A per-page fixpoint flag skips the repartitions
+// that provably return "no change" (docs/ALGORITHM.md, stage 2).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,9 @@ struct StorageRestoreReport {
   std::uint32_t deallocations = 0;
   std::uint32_t repartitioned_pages = 0;
   std::uint32_t repartition_improvements = 0;
+  /// Repartitions counted in repartitioned_pages but not run, because the
+  /// page was at its fixpoint (report-only; the result is the same).
+  std::uint32_t repartitions_skipped = 0;
   std::uint64_t bytes_freed = 0;  ///< storage released by deallocations
   /// Servers whose HTML alone exceeds capacity (constraint unrestorable).
   std::vector<ServerId> infeasible_servers;

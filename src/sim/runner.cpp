@@ -1,7 +1,7 @@
 #include "sim/runner.h"
 
-#include <mutex>
 #include <optional>
+#include <vector>
 
 #include "baselines/static_policies.h"
 #include "io/provenance.h"
@@ -127,16 +127,19 @@ ScenarioResult run_scenario(const ExperimentConfig& config,
   MMR_CHECK_MSG(config.runs > 0, "need at least one run");
   ScenarioResult result;
   result.runs = config.runs;
-  std::mutex mutex;
   TraceSpan scenario_span("run_scenario");
   if (scenario_span.active()) {
     scenario_span.arg("runs", static_cast<std::uint64_t>(config.runs));
   }
   // Capture the aggregation target on the calling thread: pool workers run
-  // each seed under a private registry and merge it back here, so aggregates
-  // are identical whatever the thread count (merge is associative).
+  // each seed under a private registry, and the registries and outcomes are
+  // folded in run order after the pool finishes, so every sum, mean and
+  // gauge `last` is identical whatever the thread count.
   MetricsRegistry* metrics_target =
       recording(kRecMetrics) ? &current_metrics() : nullptr;
+  std::vector<MetricsRegistry> run_metrics(
+      metrics_target != nullptr ? config.runs : 0);
+  std::vector<RunOutcome> outcomes(config.runs);
 
   // Seeds are the outer parallelism here: when they run on the pool, the
   // solver must not re-enter the same pool from a worker (parallel_for is
@@ -157,16 +160,19 @@ ScenarioResult run_scenario(const ExperimentConfig& config,
     ProvenanceRunScope prov_scope((scenario_tag << 32) |
                                   static_cast<std::uint32_t>(r));
     const std::uint64_t seed = mix_seed(config.base_seed, 1000 + r);
-    MetricsRegistry per_run_metrics;
-    RunOutcome out;
-    {
-      MetricsScope scope(metrics_target != nullptr ? &per_run_metrics
-                                                   : nullptr);
-      out = run_single(run_config, spec, seed);
-    }
+    MetricsScope scope(metrics_target != nullptr ? &run_metrics[r] : nullptr);
+    outcomes[r] = run_single(run_config, spec, seed);
+  };
 
-    std::lock_guard<std::mutex> lock(mutex);
-    if (metrics_target != nullptr) metrics_target->merge(per_run_metrics);
+  if (pool != nullptr) {
+    pool->parallel_for(config.runs, one);
+  } else {
+    for (std::size_t r = 0; r < config.runs; ++r) one(r);
+  }
+
+  for (std::size_t r = 0; r < config.runs; ++r) {
+    if (metrics_target != nullptr) metrics_target->merge(run_metrics[r]);
+    const RunOutcome& out = outcomes[r];
     const double base = out.unconstrained_response;
     result.unconstrained_response.add(base);
     result.policy_d.add(out.ours_objective);
@@ -187,12 +193,6 @@ ScenarioResult run_scenario(const ExperimentConfig& config,
           relative_increase(out.remote_response, base));
     }
     if (!out.ours_feasible) ++result.infeasible_runs;
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(config.runs, one);
-  } else {
-    for (std::size_t r = 0; r < config.runs; ++r) one(r);
   }
 
   MMR_GAUGE("runner.response.unconstrained",

@@ -81,6 +81,8 @@ ProgressReporter::ProgressReporter(const char* phase, std::uint64_t total) {
   impl_->phase = phase;
   impl_->total = total;
   impl_->start_ns = monotonic_now_ns();
+  // The first emit waits a full interval, so a fast phase prints nothing.
+  impl_->last_emit_ns.store(impl_->start_ns, std::memory_order_relaxed);
 }
 
 ProgressReporter::~ProgressReporter() {

@@ -271,6 +271,53 @@ TEST(RepartitionWithinStore, RecoversAfterDeallocation) {
   EXPECT_FALSE(asg.comp_local(0, 0));  // big not allowed
 }
 
+TEST(RepartitionWithinStore, ReportsWhetherThePageIsAtItsFixpoint) {
+  // Two equal objects: the greedy keeps one local and one remote, and the
+  // swapped marking has the same value.
+  SystemModel sys;
+  Server s;
+  s.ovhd_local = 0.0;
+  s.ovhd_repo = 0.0;
+  s.local_rate = 1.0;
+  s.repo_rate = 1.0;
+  sys.add_server(s);
+  sys.add_object({10});
+  sys.add_object({10});
+  Page p;
+  p.host = 0;
+  p.html_bytes = 1;
+  p.frequency = 1.0;
+  p.compulsory = {0, 1};
+  sys.add_page(std::move(p));
+  sys.finalize();
+  const Weights w{2.0, 1.0};
+  const std::vector<std::uint8_t> allowed(sys.num_referenced(0), 1);
+
+  Assignment greedy(sys);
+  partition_page(sys, greedy, 0);
+  ASSERT_NE(greedy.comp_local(0, 0), greedy.comp_local(0, 1));
+  bool at_fixpoint = false;
+  EXPECT_FALSE(repartition_within_store(sys, greedy, 0, allowed, w,
+                                        &at_fixpoint));
+  EXPECT_TRUE(at_fixpoint);  // the candidate is the marking
+
+  Assignment swapped(sys);
+  swapped.set_comp_local(0, 0, !greedy.comp_local(0, 0));
+  swapped.set_comp_local(0, 1, !greedy.comp_local(0, 1));
+  at_fixpoint = true;
+  EXPECT_FALSE(repartition_within_store(sys, swapped, 0, allowed, w,
+                                        &at_fixpoint));
+  EXPECT_FALSE(at_fixpoint);  // a tie keeps a marking the greedy would not
+  EXPECT_NE(swapped.comp_bits(), greedy.comp_bits());
+
+  Assignment remote(sys);  // strictly worse than the greedy
+  at_fixpoint = false;
+  EXPECT_TRUE(repartition_within_store(sys, remote, 0, allowed, w,
+                                       &at_fixpoint));
+  EXPECT_TRUE(at_fixpoint);  // the candidate was applied
+  EXPECT_EQ(remote.comp_bits(), greedy.comp_bits());
+}
+
 TEST(PageContribution, MatchesDefinition) {
   const SystemModel sys = tiny_system();
   Assignment asg(sys);

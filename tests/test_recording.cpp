@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "baselines/static_policies.h"
 #include "io/provenance.h"
@@ -17,6 +19,7 @@
 #include "sim/simulator.h"
 #include "test_helpers.h"
 #include "util/metrics.h"
+#include "util/telemetry.h"
 #include "util/trace.h"
 #include "workload/generator.h"
 
@@ -35,7 +38,9 @@ struct Recorded {
 };
 
 /// One run_scenario (a constrained solve, the static and LRU simulations),
-/// one simulate_threshold and one DES pass with exactly `mask` on.
+/// one simulate_threshold, one DES pass and one phase that outlasts the
+/// progress emit interval (fast phases print no progress) with exactly
+/// `mask` on.
 Recorded record_with(std::uint32_t mask) {
   const testing::RecordingScope scope;
   set_recording(mask);
@@ -60,6 +65,11 @@ Recorded record_with(std::uint32_t mask) {
     DesParams dp;
     dp.requests_per_server = 200;
     (void)DesSimulator(sys, dp).simulate(make_local_assignment(sys), 13);
+
+    ProgressReporter slow("slow_phase", 2);
+    slow.tick();
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    slow.tick();
   }
   set_flight_sample_every(100);
   const std::string err = ::testing::internal::GetCapturedStderr();

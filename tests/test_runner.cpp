@@ -125,6 +125,42 @@ TEST(Runner, ScenarioPopulatesMetrics) {
   EXPECT_EQ(s.gauges.at("runner.response.ours").count, 1u);
 }
 
+TEST(Runner, MetricsAreThreadCountInvariant) {
+  // Runs finish in any order on a pool; their registries are folded in run
+  // order, so even a gauge's `last` and the bits of its mean match.
+  ExperimentConfig cfg = fast_config();
+  cfg.runs = 8;
+  ScenarioSpec spec;
+  spec.storage_fraction = 0.5;
+  spec.run_lru = false;
+  const auto metrics_with = [&](std::size_t threads) {
+    MetricsRegistry registry;
+    ThreadPool pool(threads);
+    {
+      MetricsScope scope(&registry);
+      run_scenario(cfg, spec, &pool);
+    }
+    return registry.snapshot();
+  };
+  const MetricsSnapshot one = metrics_with(1);
+  ASSERT_FALSE(one.gauges.empty());
+  // Completion order varies from call to call; repeat to see several.
+  for (int rep = 0; rep < 3; ++rep) {
+    const MetricsSnapshot four = metrics_with(4);
+    EXPECT_EQ(one.counters, four.counters);
+    ASSERT_EQ(one.gauges.size(), four.gauges.size());
+    for (const auto& [name, g] : one.gauges) {
+      ASSERT_EQ(four.gauges.count(name), 1u) << name;
+      const GaugeStat& h = four.gauges.at(name);
+      EXPECT_EQ(g.count, h.count) << name;
+      EXPECT_EQ(g.last, h.last) << name;
+      EXPECT_EQ(g.mean, h.mean) << name;
+      EXPECT_EQ(g.min, h.min) << name;
+      EXPECT_EQ(g.max, h.max) << name;
+    }
+  }
+}
+
 TEST(Runner, TracedRunNestsSolverPhaseSpansInPolicySpans) {
   const ExperimentConfig cfg = fast_config();
   ScenarioSpec spec;

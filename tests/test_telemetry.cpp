@@ -300,6 +300,30 @@ TEST(Telemetry, ParserRejectsTamperedDocuments) {
                CheckError);
 }
 
+TEST(Telemetry, ProgressStaysSilentOnFastPhases) {
+  const testing::RecordingScope progress(kRecProgress);
+  ::testing::internal::CaptureStderr();
+  {
+    ProgressReporter fast("fast_phase", 3);
+    for (int n = 0; n < 3; ++n) fast.tick();
+  }
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  // A phase longer than the emit interval shows its progress and a final
+  // "done" line.
+  ::testing::internal::CaptureStderr();
+  {
+    ProgressReporter slow("slow_phase", 2);
+    slow.tick();
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    slow.tick();
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("[mmr] slow_phase"), std::string::npos) << err;
+  EXPECT_NE(err.find("2/2 (100.0%)"), std::string::npos) << err;
+  EXPECT_NE(err.find(" done\n"), std::string::npos) << err;
+}
+
 TEST(Telemetry, SamplerAndProgressDoNotChangeResults) {
   // Same contract as the recorders: telemetry reads computed state, so a
   // running sampler plus progress reporting must not perturb a placement
