@@ -5,6 +5,17 @@
 // damage per unit of workload freed (the paper amortizes the delta over the
 // workload difference). An object whose last local mark disappears is
 // automatically dropped from the store, freeing storage as a side effect.
+// A slot that frees no workload (f(W_j) = 0, or an optional link with
+// optional_scale = 0) is never flipped.
+//
+// Each page's cheapest slot is found without scoring every slot. A
+// compulsory slot's criterion, taken along the page's slots in decreasing
+// size, never rises up to the size where the two pipelines cross and never
+// falls after it, so the minimum lies at the nearest local slot on either
+// side; only the slots tying with it are scored beyond those two. An
+// optional slot's criterion does not depend on the page's state, so each
+// page's optional slots are sorted once. The unmark sequence is the one a
+// scan of every local slot gives (ALGORITHM.md stage 3).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +44,8 @@ struct ProcessingRestoreReport {
 };
 
 /// Restores Eq. 8 for every server, modifying the assignment in place.
+/// Requires a finite w.alpha1 >= 0 (throws CheckError otherwise): the search
+/// relies on the criterion growing with the page's response time.
 /// With a pool and a shard plan, shards of servers restore concurrently;
 /// per-server state is disjoint and reports merge in server order, so the
 /// result is bit-identical at any shard/thread count (including none).

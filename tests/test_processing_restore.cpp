@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/delta.h"
 #include "core/partition.h"
 #include "io/provenance.h"
 #include "model/cost.h"
+#include "model/shard.h"
 #include "test_helpers.h"
+#include "util/check.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace mmr {
@@ -135,6 +141,21 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(71, 72),
                        ::testing::Values(0.0, 0.3, 0.6, 0.9)));
 
+// With both weights 0 every slot's criterion is zero, so the tie rules alone
+// decide: the compulsory slot with the lowest index goes before the optional
+// one that ShedsCheapestSlotFirst sheds under the paper's weights.
+TEST(ProcessingRestore, CompulsoryWinsAnExactTie) {
+  const SystemModel sys = testing::tiny_system(/*proc_capacity=*/6.2);
+  Assignment asg(sys);
+  partition_all(sys, asg);  // load 6.5
+  const auto report = restore_processing(sys, asg, Weights{0.0, 0.0});
+  EXPECT_TRUE(report.feasible());
+  EXPECT_EQ(report.unmarked_slots, 1u);
+  EXPECT_FALSE(asg.comp_local(0, 0));
+  EXPECT_TRUE(asg.comp_local(0, 1));
+  EXPECT_TRUE(asg.opt_local(0, 0));
+}
+
 // Two identical pages on one server, each with one compulsory and one
 // optional object of equal sizes, so both optional slots carry the same
 // criterion bit for bit. Full-local load is 2 * 2 * (1 + 1 + 0.25) = 9;
@@ -176,9 +197,64 @@ TEST(ProcessingRestore, TieGoesToLowerPageId) {
   EXPECT_TRUE(asg.comp_local(1, 0));
 }
 
+// A page with f(W_j) = 0 and a page with optional_scale = 0 next to an
+// ordinary one. Their slots free no Eq. 8 load (the amortized criterion
+// would divide by zero), so restoration leaves them marked and sheds only
+// the ordinary page. Capacity 3 is below the server's mandatory load 4, so
+// everything sheddable goes and the server stays infeasible.
+TEST(ProcessingRestore, ZeroWorkloadSlotsAreNeverCandidates) {
+  SystemModel sys;
+  Server s;
+  s.proc_capacity = 3.0;
+  s.storage_capacity = 100 * testing::kKB;
+  s.ovhd_local = 1.0;
+  s.ovhd_repo = 2.0;
+  s.local_rate = 100.0;
+  s.repo_rate = 10.0;
+  sys.add_server(s);
+  sys.set_repository({kUnlimited});
+  for (int n = 0; n < 3; ++n) {
+    Page p;
+    p.host = 0;
+    p.html_bytes = 200;
+    p.frequency = n == 0 ? 0.0 : 2.0;
+    p.optional_scale = n == 1 ? 0.0 : 1.0;
+    p.compulsory = {sys.add_object({300}), sys.add_object({500})};
+    p.optional = {{sys.add_object({400}), 0.25}};
+    sys.add_page(std::move(p));
+  }
+  sys.finalize();
+
+  for (const bool amortize : {true, false}) {
+    SCOPED_TRACE(amortize);
+    Assignment asg(sys);
+    partition_all(sys, asg);  // every slot local
+    ProcessingRestoreOptions options;
+    options.amortize_by_workload = amortize;
+    const auto report = restore_processing(sys, asg, kW, options);
+    ASSERT_EQ(report.infeasible_servers.size(), 1u);
+    EXPECT_EQ(asg.num_comp_local(0), 2u);
+    EXPECT_TRUE(asg.opt_local(0, 0));
+    EXPECT_EQ(asg.num_comp_local(1), 0u);
+    EXPECT_TRUE(asg.opt_local(1, 0));
+    EXPECT_EQ(asg.num_comp_local(2), 0u);
+    EXPECT_FALSE(asg.opt_local(2, 0));
+    EXPECT_EQ(report.unmarked_slots, 5u);
+    EXPECT_DOUBLE_EQ(asg.server_proc_load(0), 4.0);
+  }
+}
+
+TEST(ProcessingRestore, RejectsNegativeAlpha1) {
+  const SystemModel sys = testing::tiny_system(/*proc_capacity=*/5.0);
+  Assignment asg(sys);
+  partition_all(sys, asg);
+  EXPECT_THROW(restore_processing(sys, asg, Weights{-1.0, 1.0}), CheckError);
+}
+
 // Brute-force Eq. 8 restoration: at every step rescore every local slot of
 // the server and unmark the first under the documented total order
-// (criterion, page id, compulsory before optional, slot index).
+// (criterion, page id, compulsory before optional, slot index). A slot that
+// frees no Eq. 8 load is not a candidate.
 struct RefUnmark {
   PageId page;
   ObjectId object;
@@ -208,7 +284,7 @@ std::vector<RefUnmark> reference_restore(const SystemModel& sys,
           const std::size_t n = comp ? p.compulsory.size() : p.optional.size();
           for (std::uint32_t idx = 0; idx < n; ++idx) {
             const PageObjectRef r{j, comp, idx};
-            if (!asg.ref_local(r)) continue;
+            if (!asg.ref_local(r) || !(slot_workload(sys, r) > 0)) continue;
             double c = comp ? unmark_comp_delta(asg, j, idx, kW)
                             : unmark_opt_delta(asg, j, idx, kW);
             if (amortize) c /= slot_workload(sys, r);
@@ -231,13 +307,68 @@ std::vector<RefUnmark> reference_restore(const SystemModel& sys,
   return steps;
 }
 
+enum class Instance { kSmall, kAllLinked, kPlateaus };
+
+// Two servers of pages whose compulsory sizes come from three values, so
+// equal sizes tie exactly and the criterion has plateaus; every page has
+// optional links. Each server's first page has f(W_j) = 0 and its second
+// optional_scale = 0, so some slots free no Eq. 8 load.
+SystemModel plateau_system(std::uint64_t seed) {
+  Rng rng(seed);
+  SystemModel sys;
+  for (int n = 0; n < 2; ++n) {
+    Server s;
+    s.storage_capacity = 10 * testing::kMB;
+    s.ovhd_local = rng.uniform(0.5, 1.5);
+    s.ovhd_repo = rng.uniform(1.5, 3.0);
+    s.local_rate = rng.uniform(2000.0, 4000.0);
+    s.repo_rate = rng.uniform(300.0, 900.0);
+    sys.add_server(s);
+  }
+  sys.set_repository({kUnlimited});
+  constexpr std::uint32_t kObjects = 60;
+  const std::uint64_t sizes[] = {1000, 4000, 16000};
+  for (std::uint32_t k = 0; k < kObjects; ++k) {
+    sys.add_object({sizes[rng.bounded(3)]});
+  }
+  for (ServerId host = 0; host < 2; ++host) {
+    for (int n = 0; n < 6; ++n) {
+      Page p;
+      p.host = host;
+      p.html_bytes = 500;
+      p.frequency = n == 0 ? 0.0 : rng.uniform(0.5, 3.0);
+      p.optional_scale = n == 1 ? 0.0 : 1.0;
+      const auto n_comp = static_cast<std::uint32_t>(rng.uniform_int(6, 16));
+      const auto n_opt = static_cast<std::uint32_t>(rng.uniform_int(3, 8));
+      const std::vector<std::uint32_t> picks =
+          rng.sample_without_replacement(kObjects, n_comp + n_opt);
+      for (std::uint32_t x = 0; x < n_comp; ++x) {
+        p.compulsory.push_back(picks[x]);
+      }
+      for (std::uint32_t x = n_comp; x < n_comp + n_opt; ++x) {
+        p.optional.push_back({picks[x], rng.uniform(0.05, 0.5)});
+      }
+      sys.add_page(std::move(p));
+    }
+  }
+  sys.finalize();
+  return sys;
+}
+
+SystemModel make_instance(Instance kind, std::uint64_t seed) {
+  if (kind == Instance::kPlateaus) return plateau_system(seed);
+  WorkloadParams params = testing::small_params();
+  if (kind == Instance::kAllLinked) params.pages_with_optional = 1.0;
+  return generate_workload(params, seed);
+}
+
 class ProcessingRestoreReference
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double, bool>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<Instance, std::uint64_t, double, bool>> {};
 
 TEST_P(ProcessingRestoreReference, MatchesBruteForceBitForBit) {
-  const auto [seed, fraction, amortize] = GetParam();
-  SystemModel sys = generate_workload(testing::small_params(), seed);
+  const auto [kind, seed, fraction, amortize] = GetParam();
+  SystemModel sys = make_instance(kind, seed);
   Assignment asg(sys);
   partition_all(sys, asg);
   std::vector<double> caps(sys.num_servers());
@@ -246,6 +377,7 @@ TEST_P(ProcessingRestoreReference, MatchesBruteForceBitForBit) {
     caps[i] = mandatory + fraction * (asg.server_proc_load(i) - mandatory);
   }
   set_processing_capacities(sys, caps);
+  const Assignment start = asg;
 
   Assignment expected = asg;
   const std::vector<RefUnmark> steps =
@@ -265,24 +397,41 @@ TEST_P(ProcessingRestoreReference, MatchesBruteForceBitForBit) {
     EXPECT_EQ(audit.unmarks[n].page, steps[n].page);
     EXPECT_EQ(audit.unmarks[n].object, steps[n].object);
     EXPECT_EQ(audit.unmarks[n].compulsory, steps[n].compulsory);
-    EXPECT_EQ(audit.unmarks[n].criterion, steps[n].criterion);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(audit.unmarks[n].criterion),
+              std::bit_cast<std::uint64_t>(steps[n].criterion));
   }
-  for (PageId j = 0; j < sys.num_pages(); ++j) {
-    const Page& p = sys.page(j);
-    for (std::uint32_t idx = 0; idx < p.compulsory.size(); ++idx) {
-      EXPECT_EQ(asg.comp_local(j, idx), expected.comp_local(j, idx));
-    }
-    for (std::uint32_t idx = 0; idx < p.optional.size(); ++idx) {
-      EXPECT_EQ(asg.opt_local(j, idx), expected.opt_local(j, idx));
-    }
-  }
+  EXPECT_EQ(asg.comp_bits(), expected.comp_bits());
+  EXPECT_EQ(asg.opt_bits(), expected.opt_bits());
   EXPECT_EQ(objective_total_cached(asg, kW),
             objective_total_cached(expected, kW));
+
+  // Any thread count and shard count gives the same bits and report.
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const std::uint32_t shards : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, " << shards << " shards");
+      const ShardPlan plan = make_shard_plan(sys, shards);
+      Assignment sharded = start;
+      const auto r = restore_processing(sys, sharded, kW, options, &pool,
+                                        &plan);
+      EXPECT_EQ(r.unmarked_slots, report.unmarked_slots);
+      EXPECT_EQ(r.objects_deallocated, report.objects_deallocated);
+      EXPECT_EQ(r.infeasible_servers, report.infeasible_servers);
+      EXPECT_EQ(sharded.comp_bits(), asg.comp_bits());
+      EXPECT_EQ(sharded.opt_bits(), asg.opt_bits());
+      EXPECT_EQ(objective_total_cached(sharded, kW),
+                objective_total_cached(asg, kW));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeded, ProcessingRestoreReference,
-    ::testing::Combine(::testing::Values(81, 82, 83),
+    ::testing::Combine(::testing::Values(Instance::kSmall,
+                                         Instance::kAllLinked,
+                                         Instance::kPlateaus),
+                       ::testing::Values(81, 82, 83),
                        ::testing::Values(0.2, 0.5, 0.8),
                        ::testing::Bool()));
 
