@@ -80,15 +80,6 @@ struct ServerPartial {
   double horizon = 0;  ///< latest local completion
 };
 
-/// How many optional links an interested viewer follows (same formula as
-/// the closed-form simulator, so workloads are comparable across modes).
-std::uint32_t optional_request_count(const Page& p, double fraction) {
-  if (p.optional.empty() || fraction <= 0) return 0;
-  return std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::lround(
-             fraction * static_cast<double>(p.optional.size()))));
-}
-
 /// Scratch reused across every server of one shard, so the per-server loop
 /// allocates nothing in steady state.
 struct ShardScratch {

@@ -6,6 +6,8 @@
 // throttle sees realistic inter-arrival times.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -46,5 +48,15 @@ class RequestGenerator {
   std::vector<std::vector<PageId>> ids_;  // alias index -> PageId
   std::vector<double> rates_;
 };
+
+/// How many optional links an interested viewer of page p follows: the
+/// given fraction of its links, rounded, and at least one. Shared by the
+/// closed-form simulator and the DES so their workloads match.
+inline std::uint32_t optional_request_count(const Page& p, double fraction) {
+  if (p.optional.empty() || fraction <= 0) return 0;
+  return std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(
+             fraction * static_cast<double>(p.optional.size()))));
+}
 
 }  // namespace mmr

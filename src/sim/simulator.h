@@ -2,22 +2,31 @@
 //
 // Replays popularity-driven request streams against a replica placement and
 // measures actual response times under per-request network perturbation.
-// Two modes:
-//   simulate(assignment)  — static placements (ours, Remote, Local): each
+// Three modes:
+//   simulate(assignment)   — static placements (ours, Remote, Local): each
 //       page request downloads the HTML plus the locally-marked objects from
 //       S_i and the rest from R in parallel; response = max of the two
 //       pipelines. Optional objects are requested with probability
 //       p_interested, each over a fresh connection.
-//   simulate_lru()        — the ideal LRU caching/redirection baseline: a
+//   simulate_lru()         — the ideal LRU caching/redirection baseline: a
 //       size-aware LRU cache per site, misses served by the repository with
-//       zero redirection overhead, optionally subject to the Eq. 8 admission
-//       throttle (requests beyond C(S_i) are served by R). Deferred optional
-//       requests wait in an event queue; the time-sorted arrivals merge
-//       against it by peek, so both are handled in true time order.
+//       zero redirection overhead, and the Eq. 8 admission throttle at
+//       C(S_i) (requests beyond it are served by R; a site with
+//       C(S_i) = kUnlimited is never throttled). One warm pass over the
+//       stream precedes the measured one.
+//   simulate_threshold()   — the threshold replication baseline of related
+//       work, measured in one pass.
+// The two dynamic baselines share one replay: each is a site adaptor
+// (how an object request is served, which counts fold into SimMetrics)
+// driven through the same per-request body. Optional fetches are deferred:
+// they wait in an event queue that the time-sorted arrivals merge against
+// by peek, so both are handled in true time order. Every mode prices a
+// request with the same max-of-pipelines helper.
 //
 // With a fixed seed the perturbation stream is identical across static
 // policies (the draw count per request does not depend on the placement), so
-// policy comparisons are paired.
+// policy comparisons are paired; the two dynamic baselines share a stream
+// too.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +46,6 @@ struct SimParams {
   double p_interested = 0.10;
   double optional_request_fraction = 0.30;
   PerturbParams perturb;
-  /// LRU: replay the stream once to warm the cache before measuring.
-  bool lru_warm_start = true;
-  /// LRU: enforce C(S_i) with a token bucket (Eq. 8); overflow goes to R.
-  bool lru_enforce_capacity = true;
-  /// Token-bucket burst, in seconds worth of capacity.
-  double token_burst_seconds = 1.0;
   /// Keep every per-request response sample (enables quantiles/histograms
   /// in SimMetrics::page_samples at O(requests) memory).
   bool capture_samples = false;

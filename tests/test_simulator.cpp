@@ -108,7 +108,6 @@ TEST(SimulatorLru, WarmCacheServesHotPagesLocally) {
   const SystemModel sys = generate_workload(wp, 208);
   SimParams sp = fast_params();
   sp.requests_per_server = 1500;
-  sp.lru_warm_start = true;
   const Simulator sim(sys, sp);
   const SimMetrics lru = sim.simulate_lru(13);
   const SimMetrics local = sim.simulate(make_local_assignment(sys), 13);
@@ -141,14 +140,13 @@ TEST(SimulatorLru, CapacityThrottleRedirectsToRepo) {
   const SystemModel sys = generate_workload(wp, 210);
   SimParams sp = fast_params();
   sp.requests_per_server = 800;
-  sp.lru_enforce_capacity = true;
   const Simulator sim(sys, sp);
   const SimMetrics throttled = sim.simulate_lru(19);
   EXPECT_GT(throttled.throttled_requests, 0u);
 
-  SimParams sp_free = sp;
-  sp_free.lru_enforce_capacity = false;
-  const Simulator sim_free(sys, sp_free);
+  // The same instance with C(S_i) = kUnlimited is never throttled.
+  const SystemModel sys_free = generate_workload(testing::small_params(), 210);
+  const Simulator sim_free(sys_free, sp);
   const SimMetrics free = sim_free.simulate_lru(19);
   EXPECT_EQ(free.throttled_requests, 0u);
   EXPECT_LE(free.page_response.mean(), throttled.page_response.mean() + 1e-9);
@@ -193,17 +191,27 @@ TEST(SimulatorGolden, LruWarmStart) {
                  0x1.00ec87e6190d2p+12, 0x1.4bef29c6c1591p+8});
 }
 
-TEST(SimulatorGolden, LruThrottledColdStart) {
+TEST(SimulatorGolden, LruThrottledWarmStart) {
   WorkloadParams wp = testing::small_params();
   wp.server_proc_capacity = 8.0;
   SystemModel sys = generate_workload(wp, 402);
   set_storage_fraction(sys, 0.5);
   SimParams sp;
   sp.requests_per_server = 2000;
-  sp.lru_warm_start = false;
   expect_golden(Simulator(sys, sp).simulate_lru(42),
-                {41781, 8250, 8051, 37053, 0, 0, 6000, 266,
-                 0x1.4e39440d7c474p+12, 0x1.f68a54f7e101p+7});
+                {84997, 15566, 15376, 42276, 0, 0, 6000, 246,
+                 0x1.69e466f56f7d3p+12, 0x1.6d89aa9f8d013p+9});
+}
+
+// CapacityThrottleRedirectsToRepo's instance with C(S_i) = kUnlimited: the
+// Eq. 8 bucket never throttles, so every cache hit is served locally.
+TEST(SimulatorGolden, LruUnthrottled) {
+  const SystemModel sys = generate_workload(testing::small_params(), 210);
+  SimParams sp;
+  sp.requests_per_server = 800;
+  expect_golden(Simulator(sys, sp).simulate_lru(19),
+                {31196, 420, 0, 0, 0, 0, 2400, 128, 0x1.1fd9eed36fe51p+10,
+                 0x1.5c12dbab1126bp+8});
 }
 
 TEST(SimulatorGolden, Threshold) {
@@ -222,6 +230,41 @@ TEST(SimulatorGolden, Threshold) {
   expect_golden(sim.simulate_threshold(44, churn),
                 {0, 0, 0, 0, 46, 2, 6000, 116, 0x1.14c9a2df948bep+12,
                  0x1.0adf0188a5a4cp+9});
+}
+
+// The static simulate() pinned exactly, with and without the overload
+// stretch: R and every S_i get half the load the placement puts on them, so
+// both pipelines stretch 2x at overload_exponent 1.
+TEST(SimulatorGolden, Static) {
+  SystemModel sys = generate_workload(testing::small_params(), 404);
+  Assignment ours(sys);
+  partition_all(sys, ours);
+  set_repo_capacity(sys, ours.repo_proc_load(), 0.5);
+  std::vector<double> caps;
+  for (ServerId i = 0; i < sys.num_servers(); ++i) {
+    caps.push_back(0.5 * ours.server_proc_load(i));
+  }
+  set_processing_capacities(sys, caps);
+  struct StaticGolden {
+    double overload_exponent;
+    double page_mean, optional_mean, total_mean;
+  };
+  for (const StaticGolden& g :
+       {StaticGolden{0.0, 0x1.dade473934d4cp+9, 0x1.a5fb641b9484dp+7,
+                     0x1.dbec58c0f4905p+9},
+        StaticGolden{1.0, 0x1.da64d4a815d28p+10, 0x1.a4065de436f9fp+8,
+                     0x1.db71a588040cbp+10}}) {
+    SimParams sp;
+    sp.requests_per_server = 2000;
+    sp.overload_exponent = g.overload_exponent;
+    const SimMetrics m = Simulator(sys, sp).simulate(ours, 45);
+    EXPECT_EQ(m.page_response.count(), 6000u);
+    EXPECT_EQ(m.optional_time.count(), 60u);
+    EXPECT_EQ(m.total_per_request.count(), 6000u);
+    EXPECT_EQ(m.page_response.mean(), g.page_mean);
+    EXPECT_EQ(m.optional_time.mean(), g.optional_mean);
+    EXPECT_EQ(m.total_per_request.mean(), g.total_mean);
+  }
 }
 
 TEST(SimMetrics, MergeAggregates) {
@@ -251,9 +294,6 @@ TEST(SimParams, ValidationCatchesBadValues) {
   SimParams q;
   q.p_interested = 1.5;
   EXPECT_THROW(q.validate(), CheckError);
-  SimParams r;
-  r.token_burst_seconds = 0;
-  EXPECT_THROW(r.validate(), CheckError);
 }
 
 }  // namespace
