@@ -11,6 +11,7 @@
 #include "obs/timeseries.h"
 #include "sim/event_queue.h"
 #include "sim/request_recorder.h"
+#include "sim/stream_merge.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -24,7 +25,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// RepoJob owner for optional fetches (no outcome row to write back to).
 constexpr std::uint32_t kOptionalOwner = 0xFFFFFFFFu;
-/// Station tag marking an optional-fetch job at a site server.
+/// Station tag marking an optional-fetch job. At R the tag is this plus the
+/// job's sojourn slot (phase B).
 constexpr std::uint64_t kOptionalTag = 1ull << 32;
 
 /// Per-page service demands, fixed for a static placement. All four come
@@ -39,11 +41,11 @@ struct PageService {
 };
 
 // Outcome flags.
-constexpr std::uint8_t kHasRepo = 1;     ///< a repository job was submitted
 constexpr std::uint8_t kRedirected = 2;  ///< local queue full → all via R
 constexpr std::uint8_t kRejected = 4;    ///< local queue full → dropped
 
 /// One page request's life, written by phases A/B and scored in phase C.
+/// Phase B writes repo_done/repo_wait when the page's repository job starts.
 struct Outcome {
   double arrival = 0;
   double local_done = 0;  ///< local-pipeline completion (0 when no local job)
@@ -55,8 +57,8 @@ struct Outcome {
   std::uint8_t flags = 0;
 };
 
-/// One job for the repository station, collected per server in phase A and
-/// merged canonically in phase B.
+/// One job for the repository station, collected per server in phase A in
+/// submit order and merged canonically in phase B.
 struct RepoJob {
   double submit = 0;
   double service = 0;
@@ -74,6 +76,7 @@ struct ServerPartial {
   RunningStats optional_local_time;
   std::uint64_t optional_fetches = 0;
   std::uint64_t optional_rejects = 0;
+  std::uint64_t repo_optional = 0;  ///< optional jobs in the repo stream
   std::uint64_t events = 0;
   std::uint32_t queue_peak = 0;
   double busy_s = 0;
@@ -302,7 +305,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
             break;
           case Station::Offer::kOverflow:
             if (params_.overflow == OverflowPolicy::kRedirect) {
-              o.flags |= kRedirected | kHasRepo;
+              o.flags |= kRedirected;
               repo.push_back({t_arr, svc.all_remote, global_base + idx});
               if (ser != nullptr) {
                 const auto [qlen, infl] = qdepth();
@@ -318,7 +321,6 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
             continue;  // no local pipeline → no optional links
         }
         if (svc.remote_count > 0) {
-          o.flags |= kHasRepo;
           repo.push_back({t_arr, svc.remote, global_base + idx});
         }
         continue;
@@ -391,6 +393,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
               if (params_.overflow == OverflowPolicy::kRedirect) {
                 repo.push_back(
                     {now, sys.opt_remote_time(j, oi), kOptionalOwner});
+                ++part.repo_optional;
                 ++part.optional_fetches;
                 if (ser != nullptr) ser->on_redirected(now);
               } else {
@@ -401,6 +404,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
           }
         } else {
           repo.push_back({now, sys.opt_remote_time(j, oi), kOptionalOwner});
+          ++part.repo_optional;
           ++part.optional_fetches;
         }
       }
@@ -412,13 +416,6 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
     }
     part.queue_peak = st.queue_peak();
     part.busy_s = st.busy_seconds();
-    // Page jobs were pushed at nondecreasing arrival times but optional
-    // submits interleave; sort the stream by submit time, stably, so the
-    // phase-B merge order is a pure function of this server's event order.
-    std::stable_sort(repo.begin(), repo.end(),
-                     [](const RepoJob& a, const RepoJob& b) {
-                       return a.submit < b.submit;
-                     });
   };
 
   {
@@ -441,32 +438,43 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
   }
 
   // ---- Phase B: canonical repository pass ---------------------------------
-  // Concatenate the per-server streams in server order, then stable-sort by
-  // submit time: ties keep (server, per-server submit order). The merged
-  // order — and with it every repository completion — is independent of how
-  // phase A was sharded or threaded.
+  // Every per-server stream is born sorted by submit time. Phase A handles
+  // its events in nondecreasing time: it takes the next arrival only when
+  // it is <= the queue head, every completion it schedules lies at or after
+  // the event being handled, and EventQueue::push clamps to the last pop.
+  // Each repo.push_back stamps the current event time. So the streams are
+  // merged, not sorted (sim/stream_merge.h checks the order as it goes),
+  // with ties broken by server index: (time, server, submit order), the
+  // order a stable sort of their server-order concatenation would give. The
+  // merged order, and with it every repository completion, is independent
+  // of how phase A was sharded or threaded.
+  //
+  // Results go straight back when a job starts: a page job's repo_done /
+  // repo_wait into its Outcome row, an optional job's sojourn into a slot
+  // reserved when the job is offered. Slots are in merged order under
+  // either discipline, and phase C adds them in that order.
   std::uint64_t total_jobs = 0;
-  for (const auto& stream : repo_streams) total_jobs += stream.size();
-  std::vector<RepoJob> jobs;
-  std::vector<double> job_done;
-  std::vector<float> job_wait;
+  std::uint64_t optional_jobs = 0;
+  for (ServerId i = 0; i < n; ++i) {
+    total_jobs += repo_streams[i].size();
+    optional_jobs += partials[i].repo_optional;
+  }
+  // The streams and the optional slots are live from here to the end of
+  // phase B; the gauge carries the whole DES footprint. Both sizes are a
+  // pure function of instance + placement + seed.
+  const std::uint64_t repo_bytes =
+      total_jobs * sizeof(RepoJob) + optional_jobs * sizeof(double);
+  MMR_GAUGE("memory.sim.des",
+            static_cast<double>(outcome_bytes + repo_bytes));
+  std::vector<double> optional_sojourn;
   std::uint64_t repo_events = 0;
+  double repo_horizon = 0;  ///< latest repository completion
   Station repo_st(StationConfig{params_.repo_concurrency, kUnboundedQueue,
                                 params_.discipline});
   {
     TraceSpan phase_b("des.repository");
-    jobs.reserve(total_jobs);
-    for (auto& stream : repo_streams) {
-      jobs.insert(jobs.end(), stream.begin(), stream.end());
-      stream.clear();
-      stream.shrink_to_fit();
-    }
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [](const RepoJob& a, const RepoJob& b) {
-                       return a.submit < b.submit;
-                     });
-    job_done.assign(jobs.size(), 0.0);
-    job_wait.assign(jobs.size(), 0.0f);
+    const memacct::Charge repo_charge(memacct::Category::kSimDes, repo_bytes);
+    optional_sojourn.reserve(optional_jobs);
 
     StationSeries* repo_ser = ts ? &ts->repository() : nullptr;
     auto repo_depth = [&]() {
@@ -477,23 +485,42 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
               : repo_st.in_service();
       return std::pair<std::uint32_t, std::uint32_t>(qlen, infl);
     };
+    // A job's tag is its global request index, or kOptionalTag + its slot,
+    // which holds the submit time until the job starts.
+    EventQueue<std::uint64_t> rq;
+    auto started = [&](const Station::Started& s) {
+      if (s.done > repo_horizon) repo_horizon = s.done;
+      if (s.tag < kOptionalTag) {
+        Outcome& o = outcomes[s.tag];
+        o.repo_done = s.done;
+        o.repo_wait = static_cast<float>(s.wait);
+      } else {
+        double& slot = optional_sojourn[s.tag - kOptionalTag];
+        slot = s.done - slot;
+      }
+      rq.push(s.done, s.tag);
+    };
 
     // Both branches use the fused one-lookup collection calls: the repo
     // row sees every redirected or remote job, so at high load this loop
     // touches the series more often than all site servers combined.
-    EventQueue<std::uint32_t> rq;
-    std::size_t next = 0;
+    StreamMerge jobs(repo_streams,
+                     [](const RepoJob& job) { return job.submit; });
     Station::Started s;
-    while (next < jobs.size() || !rq.empty()) {
-      const double t_arr = next < jobs.size() ? jobs[next].submit : kInf;
+    while (!jobs.empty() || !rq.empty()) {
+      const double t_arr = jobs.empty() ? kInf : jobs.top_key();
       const double t_ev = rq.empty() ? kInf : rq.peek().time;
       if (t_arr <= t_ev) {
         ++repo_events;
-        if (repo_st.offer(t_arr, jobs[next].service,
-                          static_cast<std::uint64_t>(next),
-                          &s) == Station::Offer::kStarted) {
-          job_done[next] = s.done;
-          rq.push(s.done, static_cast<std::uint32_t>(next));
+        const RepoJob& job = jobs.top();
+        std::uint64_t tag = job.owner;
+        if (job.owner == kOptionalOwner) {
+          tag = kOptionalTag + optional_sojourn.size();
+          optional_sojourn.push_back(t_arr);
+        }
+        if (repo_st.offer(t_arr, job.service, tag, &s) ==
+            Station::Offer::kStarted) {
+          started(s);
           if (repo_ser != nullptr) {
             const auto [qlen, infl] = repo_depth();
             repo_ser->on_arrival_started_sampled(t_arr, s.done, qlen, infl);
@@ -502,14 +529,12 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
           const auto [qlen, infl] = repo_depth();
           repo_ser->on_arrival_sampled(t_arr, qlen, infl);
         }
-        ++next;
+        jobs.pop();
       } else {
         rq.pop();
         ++repo_events;
         if (repo_st.on_complete(t_ev, &s)) {
-          job_done[s.tag] = s.done;
-          job_wait[s.tag] = static_cast<float>(s.wait);
-          rq.push(s.done, static_cast<std::uint32_t>(s.tag));
+          started(s);
           if (repo_ser != nullptr) {
             const auto [qlen, infl] = repo_depth();
             repo_ser->on_complete_started_sampled(t_ev, s.wait, s.done, qlen,
@@ -521,31 +546,12 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
         }
       }
     }
+    repo_streams.clear();  // every result is written back; free the jobs
   }
-
-  // Transient, deterministic charge for the repository stream (job count is
-  // a pure function of instance + placement + seed), mirroring
-  // account_sim_samples; the gauge carries the whole DES footprint.
-  const std::uint64_t repo_bytes =
-      total_jobs * (sizeof(RepoJob) + sizeof(double) + sizeof(float));
-  if (repo_bytes > 0) {
-    memacct::charge(memacct::Category::kSimDes, repo_bytes);
-    memacct::release(memacct::Category::kSimDes, repo_bytes);
-  }
-  MMR_GAUGE("memory.sim.des",
-            static_cast<double>(outcome_bytes + repo_bytes));
 
   // ---- Phase C: canonical scoring (main thread, server order) -------------
   {
     TraceSpan phase_c("des.score");
-
-    // Write back repository completions for page jobs.
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      if (jobs[k].owner != kOptionalOwner) {
-        outcomes[jobs[k].owner].repo_done = job_done[k];
-        outcomes[jobs[k].owner].repo_wait = job_wait[k];
-      }
-    }
 
     // Causal async spans for the flight-sampled requests: every lifecycle
     // stage shares the request's async id, so one request renders as one
@@ -569,12 +575,9 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
       Tracer::instance().record(std::move(e));
     };
 
-    double horizon = 0;
+    double horizon = repo_horizon;
     for (ServerId i = 0; i < n; ++i) {
       if (partials[i].horizon > horizon) horizon = partials[i].horizon;
-    }
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      if (job_done[k] > horizon) horizon = job_done[k];
     }
     m.horizon_s = horizon;
 
@@ -668,11 +671,7 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
       }
       m.server_busy_s += partials[i].busy_s;
     }
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      if (jobs[k].owner == kOptionalOwner) {
-        m.optional_time.add(job_done[k] - jobs[k].submit);
-      }
-    }
+    for (double sojourn : optional_sojourn) m.optional_time.add(sojourn);
     m.events += repo_events;
     m.repo_jobs = repo_st.jobs_started();
     m.repo_queue_peak = repo_st.queue_peak();

@@ -25,10 +25,15 @@
 //      batched arrival generation (RequestGenerator::generate_into — the
 //      hot loop allocates nothing in steady state), and collection of each
 //      server's repository job stream;
-//   B. canonical repository pass (sequential): all per-server repo streams
-//      merged in (time, server, submit order) — the merge order is a pure
-//      function of phase A's per-server outputs, so results are
-//      byte-identical at any shard × thread count;
+//   B. canonical repository pass (sequential): each per-server repo stream
+//      is born sorted (phase A handles its events in time order), so the
+//      streams are k-way merged, not copied and sorted, in (time, server,
+//      submit order) (sim/stream_merge.h). Each job's results are written
+//      back when it starts: a page's repository completion and wait into
+//      its outcome row, an optional fetch's sojourn into a slot reserved in
+//      merged order. The merge order is a pure function of phase A's
+//      per-server outputs, so results are byte-identical at any shard ×
+//      thread count;
 //   C. canonical scoring (sequential, server order): sojourn/wait/stretch
 //      stats, metrics counters, flight records (FlightMode::kDes) and obs
 //      sketch/SLO ingestion — all reading values already computed, in a

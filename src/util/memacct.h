@@ -41,7 +41,7 @@ enum class Category : std::uint8_t {
   kProvenanceBuffers,   ///< audit + flight recorder event storage
   kSimEvents,           ///< simulator per-request sample capture
   kObsSketches,         ///< streaming-telemetry shards (sketch/hot/window)
-  kSimDes,              ///< DES per-request outcomes + repository job stream
+  kSimDes,              ///< DES outcomes; repository streams in phase B
   kObsTimeseries,       ///< per-station queue-dynamics window cells
 };
 inline constexpr std::size_t kCategoryCount = 10;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -17,7 +18,10 @@
 #include "obs/timeseries.h"
 #include "sim/queueing.h"
 #include "sim/simulator.h"
+#include "sim/stream_merge.h"
 #include "test_helpers.h"
+#include "util/check.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 #include "workload/generator.h"
@@ -330,6 +334,71 @@ TEST(Des, OptionalLinkPicksArePinned) {
   EXPECT_EQ(f.h, 0x0d2e02d21653368du);
 }
 
+/// Remote-heavy placement: each page keeps only its first compulsory and
+/// its first optional object local, so most bytes and most optional
+/// fetches go to R.
+Assignment remote_heavy_assignment(const SystemModel& sys) {
+  Assignment asg(sys);
+  for (PageId j = 0; j < sys.num_pages(); ++j) {
+    const Page& p = sys.page(j);
+    if (!p.compulsory.empty()) asg.set_comp_local(j, 0, true);
+    if (!p.optional.empty()) asg.set_opt_local(j, 0, true);
+  }
+  return asg;
+}
+
+/// Runs the remote-heavy placement at the nominal arrival rate (the
+/// default scale 1.0) with small site queues, checks that every repository
+/// path is exercised, and hashes everything the run reports.
+std::uint64_t remote_heavy_hash(QueueDiscipline discipline) {
+  const SystemModel sys = generate_workload(testing::small_params(), 43);
+  DesParams dp = fast_params();
+  dp.discipline = discipline;
+  dp.server_concurrency = 2;
+  dp.queue_cap = 4;
+  dp.p_interested = 0.5;
+  const DesMetrics m =
+      DesSimulator(sys, dp).simulate(remote_heavy_assignment(sys), 47);
+  // R queues, takes redirected pages, and serves optional fetches: a page
+  // has at most one repository job, so repository jobs beyond the
+  // completed pages are optional fetches.
+  EXPECT_GT(m.repo_queue_peak, 0u);
+  EXPECT_GT(m.redirects, 0u);
+  EXPECT_GT(m.repo_jobs, m.completions);
+
+  testing::Fnv1a f;
+  for (std::uint64_t c :
+       {m.arrivals, m.completions, m.rejects, m.redirects, m.optional_fetches,
+        m.optional_rejects, m.repo_jobs, m.events,
+        std::uint64_t{m.queue_peak}, std::uint64_t{m.repo_queue_peak},
+        std::uint64_t{m.sojourn.count()},
+        std::uint64_t{m.optional_time.count()}}) {
+    f.add(c);
+  }
+  f.add(m.sojourn.mean());
+  f.add(m.wait.mean());
+  f.add(m.stretch.mean());
+  // Welford's variance depends on the order of the adds, so this pins the
+  // order in which the repository's optional sojourns arrive.
+  f.add(m.optional_time.mean());
+  f.add(m.optional_time.variance());
+  f.add(m.repo_busy_s);
+  f.add(m.horizon_s);
+  for (const RunningStats& s : m.per_server_sojourn) f.add(s.mean());
+  return f.h;
+}
+
+// Recorded while phase B still stable-sorted the concatenated repository
+// streams: the merge that replaced it must reproduce every bit, under both
+// disciplines (kPs starts every repository job at its offer, kFifo queues).
+TEST(Des, RemoteHeavyFifoIsPinned) {
+  EXPECT_EQ(remote_heavy_hash(QueueDiscipline::kFifo), 0x38cd298d2573f81au);
+}
+
+TEST(Des, RemoteHeavyPsIsPinned) {
+  EXPECT_EQ(remote_heavy_hash(QueueDiscipline::kPs), 0x5d7216c9c74f9911u);
+}
+
 TEST(Des, PsDisciplineStretchesUnderLoad) {
   const SystemModel sys = generate_workload(testing::small_params(), 308);
   DesParams fifo = fast_params();
@@ -518,6 +587,88 @@ TEST(Station, SameTimeOverflowBatchLeavesStateUntouched) {
   EXPECT_EQ(s.tag, 2u);
   EXPECT_DOUBLE_EQ(s.wait, 5.0);
   EXPECT_EQ(st.queue_peak(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Repository stream merge (sim/stream_merge.h)
+
+struct Tagged {
+  double key;
+  int id;  ///< unique across all streams
+};
+using Streams = std::vector<std::vector<Tagged>>;
+
+/// Ids in merge order.
+std::vector<int> merged_ids(const Streams& streams) {
+  StreamMerge merge(streams, [](const Tagged& t) { return t.key; });
+  std::vector<int> ids;
+  while (!merge.empty()) {
+    EXPECT_EQ(merge.top_key(), merge.top().key);
+    ids.push_back(merge.top().id);
+    merge.pop();
+  }
+  return ids;
+}
+
+/// Ids in the order a stable sort of the concatenation gives: the order
+/// phase B's merge must reproduce.
+std::vector<int> stable_sorted_ids(const Streams& streams) {
+  std::vector<Tagged> all;
+  for (const auto& s : streams) all.insert(all.end(), s.begin(), s.end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Tagged& a, const Tagged& b) { return a.key < b.key; });
+  std::vector<int> ids;
+  for (const Tagged& t : all) ids.push_back(t.id);
+  return ids;
+}
+
+TEST(StreamMerge, EqualKeysComeOutInStreamOrder) {
+  const Streams streams = {{{1, 0}, {2, 1}, {2, 2}, {3, 3}},
+                           {{2, 4}, {2, 5}},
+                           {{0, 6}, {2, 7}}};
+  EXPECT_EQ(merged_ids(streams),
+            (std::vector<int>{6, 0, 1, 2, 4, 5, 7, 3}));
+  EXPECT_EQ(merged_ids(streams), stable_sorted_ids(streams));
+}
+
+TEST(StreamMerge, EmptyAndSingleStreams) {
+  EXPECT_TRUE(merged_ids({}).empty());
+  EXPECT_TRUE(merged_ids({{}, {}, {}}).empty());
+  EXPECT_EQ(merged_ids({{{1, 0}, {1, 1}, {4, 2}}}),
+            (std::vector<int>{0, 1, 2}));
+  // All streams but one empty, the non-empty one in every position.
+  for (std::size_t live = 0; live < 4; ++live) {
+    Streams streams(4);
+    streams[live] = {{0.5, 0}, {0.5, 1}, {7, 2}};
+    EXPECT_EQ(merged_ids(streams), (std::vector<int>{0, 1, 2}));
+  }
+}
+
+TEST(StreamMerge, MatchesStableSortOfConcatenation) {
+  // Few distinct keys, so most keys tie across streams; stream counts that
+  // are and are not powers of two.
+  Rng rng(17);
+  int next_id = 0;
+  for (std::uint32_t k : {1u, 2u, 3u, 5u, 8u, 13u, 50u}) {
+    Streams streams(k);
+    for (auto& s : streams) {
+      double key = 0;
+      const std::int64_t len = rng.uniform_int(0, 40);
+      for (std::int64_t e = 0; e < len; ++e) {
+        key += static_cast<double>(rng.uniform_int(0, 2));
+        s.push_back({key, next_id++});
+      }
+    }
+    SCOPED_TRACE("streams=" + std::to_string(k));
+    EXPECT_EQ(merged_ids(streams), stable_sorted_ids(streams));
+  }
+}
+
+TEST(StreamMerge, UnsortedStreamThrows) {
+  const Streams streams = {{{1, 0}, {2, 1}}, {{1, 2}, {3, 3}, {2, 4}}};
+  EXPECT_THROW(merged_ids(streams), CheckError);
+  const Streams nan_head = {{{1, 0}}, {{std::nan(""), 1}}};
+  EXPECT_THROW(merged_ids(nan_head), CheckError);
 }
 
 }  // namespace
